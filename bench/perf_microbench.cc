@@ -3,9 +3,10 @@
  * Self-timed perf-regression harness for the simulator itself. It
  * times the stages the sweep pipeline is built from — workload
  * construction, the live executor, snapshot record, snapshot replay,
- * a live and a replayed full simulation, and a 10-spec policy grid —
- * and reports each as a throughput (work units per second, best of
- * --repeats wall-clock measurements).
+ * a live and a replayed full simulation, a 10-spec policy grid, and
+ * the export of one run's epoch series and set heatmap — and reports
+ * each as a throughput (work units per second, best of --repeats
+ * wall-clock measurements).
  *
  * With --json it appends one schema-v1 "perf" record per stage:
  *
@@ -30,10 +31,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -43,6 +46,7 @@
 #include "core/simulator.hh"
 #include "core/sweep.hh"
 #include "metrics/metrics.hh"
+#include "obs/obs_record.hh"
 #include "report/json.hh"
 #include "report/record.hh"
 #include "report/report.hh"
@@ -103,14 +107,12 @@ struct StageResult
 {
     std::string stage;
     std::string unit;
-    uint64_t work = 0;
+    /** Work units done per timed run; whole except for the export
+     *  stage, which counts MB. */
+    double work = 0.0;
     double seconds = 0.0;
 
-    double
-    rate() const
-    {
-        return seconds > 0.0 ? static_cast<double>(work) / seconds : 0.0;
-    }
+    double rate() const { return seconds > 0.0 ? work / seconds : 0.0; }
 };
 
 JsonValue
@@ -121,7 +123,11 @@ toRecord(const StageResult &r)
     rec.set("record", JsonValue::string("perf"));
     rec.set("stage", JsonValue::string(r.stage));
     rec.set("unit", JsonValue::string(r.unit));
-    rec.set("work", JsonValue::integer(r.work));
+    // Whole counts stay integers, so the records of the counting
+    // stages keep their historical shape.
+    rec.set("work", r.work == std::floor(r.work)
+                        ? JsonValue::integer(static_cast<uint64_t>(r.work))
+                        : JsonValue::number(r.work));
     rec.set("seconds", JsonValue::number(r.seconds));
     rec.set("rate", JsonValue::number(r.rate()));
     return rec;
@@ -195,11 +201,12 @@ main(int argc, char **argv)
     base.sampleInterval = sampleInterval;
 
     std::vector<StageResult> results;
+    const double instructions = static_cast<double>(budget);
 
     // Stage: build the workload CFG from its profile (what sweeps pay
     // once per benchmark thanks to sharedWorkload()).
     {
-        StageResult r{"workload_build", "builds", 1, 0.0};
+        StageResult r{"workload_build", "builds", 1.0, 0.0};
         r.seconds = measure(repeats, stat, [&] {
             Workload w = buildWorkload(getProfile(benchmark));
             gSink = gSink + w.image.size();
@@ -210,7 +217,7 @@ main(int argc, char **argv)
     // Stage: the live architectural executor alone (the correct-path
     // generator every live run steps once per instruction).
     {
-        StageResult r{"executor_step", "instructions", budget, 0.0};
+        StageResult r{"executor_step", "instructions", instructions, 0.0};
         r.seconds = measure(repeats, stat, [&] {
             Executor executor(workload.cfg, base.runSeed);
             DynInst inst;
@@ -226,7 +233,7 @@ main(int argc, char **argv)
 
     // Stage: recording a correct-path snapshot from the executor.
     {
-        StageResult r{"snapshot_record", "instructions", budget, 0.0};
+        StageResult r{"snapshot_record", "instructions", instructions, 0.0};
         r.seconds = measure(repeats, stat, [&] {
             Executor executor(workload.cfg, base.runSeed);
             TraceSnapshot snap = TraceSnapshot::record(executor, budget);
@@ -241,7 +248,7 @@ main(int argc, char **argv)
     Executor recorder(workload.cfg, base.runSeed);
     const TraceSnapshot snapshot = TraceSnapshot::record(recorder, budget);
     {
-        StageResult r{"snapshot_replay", "instructions", budget, 0.0};
+        StageResult r{"snapshot_replay", "instructions", instructions, 0.0};
         r.seconds = measure(repeats, stat, [&] {
             SnapshotReplaySource source(snapshot);
             DynInst inst;
@@ -255,7 +262,7 @@ main(int argc, char **argv)
 
     // Stage: one full simulation fed by the live executor.
     {
-        StageResult r{"sim_live", "instructions", budget, 0.0};
+        StageResult r{"sim_live", "instructions", instructions, 0.0};
         r.seconds = measure(repeats, stat, [&] {
             SimResults res = runSimulation(workload, base);
             gSink = gSink + res.finalSlot;
@@ -266,7 +273,7 @@ main(int argc, char **argv)
     // Stage: the same simulation fed by the recorded snapshot (the
     // sweep fast path; results are bit-identical to sim_live).
     {
-        StageResult r{"sim_replay", "instructions", budget, 0.0};
+        StageResult r{"sim_replay", "instructions", instructions, 0.0};
         r.seconds = measure(repeats, stat, [&] {
             SimResults res = runSimulation(workload, base, snapshot);
             gSink = gSink + res.finalSlot;
@@ -283,7 +290,7 @@ main(int argc, char **argv)
         SimConfig adaptive = base;
         adaptive.adaptiveSelector = SelectorKind::Static;
         adaptive.adaptiveInterval = 50'000;
-        StageResult r{"sim_adaptive", "instructions", budget, 0.0};
+        StageResult r{"sim_adaptive", "instructions", instructions, 0.0};
         r.seconds = measure(repeats, stat, [&] {
             SimResults res = runSimulation(workload, adaptive);
             gSink = gSink + res.finalSlot;
@@ -304,11 +311,51 @@ main(int argc, char **argv)
                 specs.push_back(RunSpec{benchmark, config});
             }
         }
-        StageResult r{"grid", "instructions", budget * specs.size(), 0.0};
+        StageResult r{"grid", "instructions",
+                      static_cast<double>(budget * specs.size()), 0.0};
         r.seconds = measure(repeats, stat, [&] {
             std::vector<SimResults> res = runSweep(specs, 1);
             gSink = gSink + res.back().finalSlot;
         });
+        results.push_back(r);
+    }
+
+    // Stage: the export layer — one run's timeseries (1K-instruction
+    // epochs) and set-heatmap records built and written through a
+    // JsonlWriter, the work an epoch-level export repeats per run.
+    // Reported in MB of JSONL per second.
+    {
+        SimConfig observed = base;
+        observed.sampleInterval = 1'000;
+        observed.setHeatmap = true;
+        RunObservations observations;
+        const SimResults res =
+            runSimulation(workload, observed, snapshot, observations);
+        char pathTemplate[] = "/tmp/specfetch-perf-export-XXXXXX";
+        const int fd = ::mkstemp(pathTemplate);
+        if (fd < 0) {
+            std::fprintf(stderr, "error: mkstemp failed\n");
+            return 1;
+        }
+        ::close(fd);
+        const std::string exportPath = pathTemplate;
+        StageResult r{"export", "MB", 0.0, 0.0};
+        r.seconds = measure(repeats, stat, [&] {
+            JsonlWriter out(exportPath);
+            out.write(makeTimeseriesRecord(observations, res, observed));
+            out.write(
+                makeHeatmapRecord(*observations.heatmap, res, observed));
+        });
+        std::error_code error;
+        r.work = static_cast<double>(
+                     std::filesystem::file_size(exportPath, error)) /
+                 1e6;
+        std::remove(exportPath.c_str());
+        if (error) {
+            std::fprintf(stderr, "error: cannot size %s\n",
+                         exportPath.c_str());
+            return 1;
+        }
         results.push_back(r);
     }
 
@@ -364,7 +411,8 @@ main(int argc, char **argv)
                 doneWake.wait(lock, [&] { return answered >= 1; });
             }
 
-            StageResult r{"serve_hit", "requests", kServeRequests, 0.0};
+            StageResult r{"serve_hit", "requests",
+                          static_cast<double>(kServeRequests), 0.0};
             r.seconds = measure(repeats, stat, [&] {
                 for (uint64_t i = 0; i < kServeRequests; ++i)
                     service.submit(line, responder);
@@ -394,9 +442,8 @@ main(int argc, char **argv)
     std::printf("%-16s %14s %12s %16s\n", "stage", "work", "seconds",
                 "rate/s");
     for (const StageResult &r : results) {
-        std::printf("%-16s %14llu %12.6f %16.0f\n", r.stage.c_str(),
-                    static_cast<unsigned long long>(r.work), r.seconds,
-                    r.rate());
+        std::printf("%-16s %14.10g %12.6f %16.1f\n", r.stage.c_str(),
+                    r.work, r.seconds, r.rate());
     }
 
     if (writer) {

@@ -29,6 +29,7 @@ JsonValue
 seriesJson(const std::vector<uint64_t> &values)
 {
     JsonValue out = JsonValue::array();
+    out.reserve(values.size());
     for (uint64_t value : values)
         out.push(JsonValue::integer(value));
     return out;
@@ -61,7 +62,9 @@ distributionJson(const std::vector<uint64_t> &values)
 JsonValue
 toJson(const EpochRecord &epoch)
 {
+    const size_t kinds = allPenaltyKinds().size();
     JsonValue penalty = JsonValue::object();
+    penalty.reserve(kinds);
     for (PenaltyKind kind : allPenaltyKinds()) {
         penalty.set(toString(kind),
                     JsonValue::integer(
@@ -69,10 +72,12 @@ toJson(const EpochRecord &epoch)
     }
 
     JsonValue components = JsonValue::object();
+    components.reserve(kinds);
     for (PenaltyKind kind : allPenaltyKinds())
         components.set(toString(kind), JsonValue::number(epoch.ispiOf(kind)));
 
     JsonValue derived = JsonValue::object();
+    derived.reserve(5); // the members set below
     derived.set("ispi", JsonValue::number(epoch.ispi()))
         .set("ispi_components", std::move(components))
         .set("miss_rate_percent", JsonValue::number(epoch.missRatePercent()))
@@ -81,6 +86,7 @@ toJson(const EpochRecord &epoch)
              JsonValue::number(epoch.busWaitFraction()));
 
     JsonValue out = JsonValue::object();
+    out.reserve(21); // the members set below
     out.set("epoch", JsonValue::integer(epoch.epoch))
         .set("first_instruction", JsonValue::integer(epoch.firstInstruction))
         .set("last_instruction", JsonValue::integer(epoch.lastInstruction))
@@ -153,6 +159,7 @@ makeTimeseriesRecord(const RunObservations &observations,
     record.set("sample_interval",
                JsonValue::integer(observations.sampleInterval));
     JsonValue epochs = JsonValue::array();
+    epochs.reserve(observations.epochs.size());
     for (const EpochRecord &epoch : observations.epochs)
         epochs.push(toJson(epoch));
     record.set("epochs", std::move(epochs));

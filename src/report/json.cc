@@ -1,8 +1,10 @@
 #include "report/json.hh"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -13,8 +15,7 @@ JsonValue
 JsonValue::boolean(bool value)
 {
     JsonValue v;
-    v.valueKind = Kind::Bool;
-    v.boolValue = value;
+    v.payload = value;
     return v;
 }
 
@@ -22,8 +23,7 @@ JsonValue
 JsonValue::integer(uint64_t value)
 {
     JsonValue v;
-    v.valueKind = Kind::Uint;
-    v.uintValue = value;
+    v.payload = value;
     return v;
 }
 
@@ -31,8 +31,7 @@ JsonValue
 JsonValue::number(double value)
 {
     JsonValue v;
-    v.valueKind = Kind::Double;
-    v.doubleValue = value;
+    v.payload = value;
     return v;
 }
 
@@ -40,8 +39,7 @@ JsonValue
 JsonValue::string(std::string value)
 {
     JsonValue v;
-    v.valueKind = Kind::String;
-    v.stringValue = std::move(value);
+    v.payload = std::move(value);
     return v;
 }
 
@@ -49,7 +47,7 @@ JsonValue
 JsonValue::object()
 {
     JsonValue v;
-    v.valueKind = Kind::Object;
+    v.payload = Members();
     return v;
 }
 
@@ -57,60 +55,79 @@ JsonValue
 JsonValue::array()
 {
     JsonValue v;
-    v.valueKind = Kind::Array;
+    v.payload = Elements();
     return v;
 }
 
 bool
 JsonValue::asBool() const
 {
-    panic_if(valueKind != Kind::Bool, "JsonValue: not a bool");
-    return boolValue;
+    const bool *value = std::get_if<bool>(&payload);
+    panic_if(!value, "JsonValue: not a bool");
+    return *value;
 }
 
 uint64_t
 JsonValue::asUint() const
 {
-    panic_if(valueKind != Kind::Uint, "JsonValue: not an integer");
-    return uintValue;
+    const uint64_t *value = std::get_if<uint64_t>(&payload);
+    panic_if(!value, "JsonValue: not an integer");
+    return *value;
 }
 
 double
 JsonValue::asDouble() const
 {
-    if (valueKind == Kind::Uint)
-        return static_cast<double>(uintValue);
-    panic_if(valueKind != Kind::Double, "JsonValue: not a number");
-    return doubleValue;
+    if (const uint64_t *value = std::get_if<uint64_t>(&payload))
+        return static_cast<double>(*value);
+    const double *value = std::get_if<double>(&payload);
+    panic_if(!value, "JsonValue: not a number");
+    return *value;
 }
 
 const std::string &
 JsonValue::asString() const
 {
-    panic_if(valueKind != Kind::String, "JsonValue: not a string");
-    return stringValue;
+    const std::string *value = std::get_if<std::string>(&payload);
+    panic_if(!value, "JsonValue: not a string");
+    return *value;
+}
+
+const JsonValue::Members &
+JsonValue::members() const
+{
+    static const Members kNone;
+    const Members *members = std::get_if<Members>(&payload);
+    return members ? *members : kNone;
+}
+
+const JsonValue::Elements &
+JsonValue::elements() const
+{
+    static const Elements kNone;
+    const Elements *elements = std::get_if<Elements>(&payload);
+    return elements ? *elements : kNone;
 }
 
 JsonValue &
-JsonValue::set(const std::string &key, JsonValue value)
+JsonValue::set(std::string key, JsonValue value)
 {
-    panic_if(valueKind != Kind::Object, "JsonValue: set on non-object");
-    for (auto &[name, member] : objectMembers) {
+    Members *members = std::get_if<Members>(&payload);
+    panic_if(!members, "JsonValue: set on non-object");
+    for (auto &[name, member] : *members) {
         if (name == key) {
             member = std::move(value);
             return *this;
         }
     }
-    objectMembers.emplace_back(key, std::move(value));
+    members->emplace_back(std::move(key), std::move(value));
     return *this;
 }
 
 const JsonValue *
 JsonValue::find(const std::string &key) const
 {
-    if (valueKind != Kind::Object)
-        return nullptr;
-    for (const auto &[name, member] : objectMembers) {
+    for (const auto &[name, member] : members()) {
         if (name == key)
             return &member;
     }
@@ -120,11 +137,12 @@ JsonValue::find(const std::string &key) const
 bool
 JsonValue::remove(const std::string &key)
 {
-    if (valueKind != Kind::Object)
+    Members *members = std::get_if<Members>(&payload);
+    if (!members)
         return false;
-    for (auto it = objectMembers.begin(); it != objectMembers.end(); ++it) {
+    for (auto it = members->begin(); it != members->end(); ++it) {
         if (it->first == key) {
-            objectMembers.erase(it);
+            members->erase(it);
             return true;
         }
     }
@@ -134,102 +152,137 @@ JsonValue::remove(const std::string &key)
 JsonValue &
 JsonValue::push(JsonValue value)
 {
-    panic_if(valueKind != Kind::Array, "JsonValue: push on non-array");
-    arrayElements.push_back(std::move(value));
+    Elements *elements = std::get_if<Elements>(&payload);
+    panic_if(!elements, "JsonValue: push on non-array");
+    elements->push_back(std::move(value));
     return *this;
 }
 
 const JsonValue &
 JsonValue::at(size_t index) const
 {
-    panic_if(valueKind != Kind::Array, "JsonValue: at() on non-array");
-    panic_if(index >= arrayElements.size(),
+    const Elements *elements = std::get_if<Elements>(&payload);
+    panic_if(!elements, "JsonValue: at() on non-array");
+    panic_if(index >= elements->size(),
              "JsonValue: index %zu out of range", index);
-    return arrayElements[index];
+    return (*elements)[index];
 }
+
+void
+JsonValue::reserve(size_t count)
+{
+    if (Members *members = std::get_if<Members>(&payload))
+        members->reserve(count);
+    else if (Elements *elements = std::get_if<Elements>(&payload))
+        elements->reserve(count);
+}
+
+namespace {
+
+/**
+ * For each byte: 0 when it is copied verbatim, otherwise the character
+ * that follows the backslash in its RFC 8259 escape ('u' for \u00XX).
+ */
+constexpr std::array<char, 256> kEscapes = [] {
+    std::array<char, 256> table{};
+    for (size_t c = 0; c < 0x20; ++c)
+        table[c] = 'u';
+    table['"'] = '"';
+    table['\\'] = '\\';
+    table['\b'] = 'b';
+    table['\f'] = 'f';
+    table['\n'] = 'n';
+    table['\r'] = 'r';
+    table['\t'] = 't';
+    return table;
+}();
+
+/** Append @p text quoted and escaped per RFC 8259. */
+void
+appendEscaped(std::string &out, const std::string &text)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    out.push_back('"');
+    const char *src = text.data();
+    const char *end = src + text.size();
+    for (;;) {
+        // Copy the run of plain characters in one append.
+        const char *run = src;
+        while (src != end && !kEscapes[static_cast<unsigned char>(*src)])
+            ++src;
+        out.append(run, src);
+        if (src == end)
+            break;
+        const unsigned char c = static_cast<unsigned char>(*src++);
+        const char escaped[] = {'\\', kEscapes[c], '0', '0',
+                                kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escaped, kEscapes[c] == 'u' ? 6 : 2);
+    }
+    out.push_back('"');
+}
+
+/** Shortest exact decimal form; always round-trips to the same bits. */
+void
+appendDouble(std::string &out, double value)
+{
+    // Bare "inf"/"nan" are not JSON; export as null-adjacent zero so
+    // consumers never see invalid documents.
+    if (!std::isfinite(value)) {
+        out += "0.0";
+        return;
+    }
+    char buf[32];
+    char *end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    out.append(buf, end);
+    // Integral doubles must keep a decimal point, or they would
+    // re-parse as Uint and break kind-strict round-trips.
+    if (std::find_if(buf, end, [](char c) {
+            return c == '.' || c == 'e' || c == 'E';
+        }) == end) {
+        out += ".0";
+    }
+}
+
+} // namespace
 
 std::string
 JsonValue::escape(const std::string &text)
 {
     std::string out;
     out.reserve(text.size() + 2);
-    out.push_back('"');
-    for (unsigned char c : text) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(static_cast<char>(c));
-            }
-        }
-    }
-    out.push_back('"');
+    appendEscaped(out, text);
     return out;
 }
-
-namespace {
-
-/** Shortest exact decimal form; always round-trips to the same bits. */
-std::string
-formatDouble(double value)
-{
-    char buf[64];
-    auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-    if (ec != std::errc())
-        return "0";
-    std::string text(buf, ptr);
-    // Bare "inf"/"nan" are not JSON; export as null-adjacent zero so
-    // consumers never see invalid documents.
-    if (text.find("inf") != std::string::npos ||
-        text.find("nan") != std::string::npos) {
-        return "0.0";
-    }
-    // Integral doubles must keep a decimal point, or they would
-    // re-parse as Uint and break kind-strict round-trips.
-    if (text.find_first_of(".eE") == std::string::npos)
-        text += ".0";
-    return text;
-}
-
-} // namespace
 
 void
 JsonValue::dumpTo(std::string &out) const
 {
-    switch (valueKind) {
+    switch (kind()) {
       case Kind::Null:
         out += "null";
         break;
       case Kind::Bool:
-        out += boolValue ? "true" : "false";
+        out += asBool() ? "true" : "false";
         break;
-      case Kind::Uint:
-        out += std::to_string(uintValue);
+      case Kind::Uint: {
+        char buf[20]; // holds any uint64_t
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), asUint()).ptr);
         break;
+      }
       case Kind::Double:
-        out += formatDouble(doubleValue);
+        appendDouble(out, asDouble());
         break;
       case Kind::String:
-        out += escape(stringValue);
+        appendEscaped(out, asString());
         break;
       case Kind::Object: {
         out.push_back('{');
         bool first = true;
-        for (const auto &[name, member] : objectMembers) {
+        for (const auto &[name, member] : members()) {
             if (!first)
                 out.push_back(',');
             first = false;
-            out += escape(name);
+            appendEscaped(out, name);
             out.push_back(':');
             member.dumpTo(out);
         }
@@ -239,7 +292,7 @@ JsonValue::dumpTo(std::string &out) const
       case Kind::Array: {
         out.push_back('[');
         bool first = true;
-        for (const JsonValue &element : arrayElements) {
+        for (const JsonValue &element : elements()) {
             if (!first)
                 out.push_back(',');
             first = false;
@@ -262,25 +315,9 @@ JsonValue::dump() const
 bool
 operator==(const JsonValue &a, const JsonValue &b)
 {
-    if (a.valueKind != b.valueKind)
-        return false;
-    switch (a.valueKind) {
-      case JsonValue::Kind::Null:
-        return true;
-      case JsonValue::Kind::Bool:
-        return a.boolValue == b.boolValue;
-      case JsonValue::Kind::Uint:
-        return a.uintValue == b.uintValue;
-      case JsonValue::Kind::Double:
-        return a.doubleValue == b.doubleValue;
-      case JsonValue::Kind::String:
-        return a.stringValue == b.stringValue;
-      case JsonValue::Kind::Object:
-        return a.objectMembers == b.objectMembers;
-      case JsonValue::Kind::Array:
-        return a.arrayElements == b.arrayElements;
-    }
-    return false;
+    // Alternatives compare only within one kind, so integer(1) !=
+    // number(1.0); doubles compare with ==, as they always have.
+    return a.payload == b.payload;
 }
 
 namespace {
@@ -342,14 +379,35 @@ class Parser
             return fail("unexpected end of input");
         char c = text[pos];
         switch (c) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
-          case '"': return parseString(out);
+          case '{': return nested(&Parser::parseObject, out);
+          case '[': return nested(&Parser::parseArray, out);
+          case '"': {
+            std::string value;
+            if (!parseString(value))
+                return false;
+            out = JsonValue::string(std::move(value));
+            return true;
+          }
           case 't': return literal("true", JsonValue::boolean(true), out);
           case 'f': return literal("false", JsonValue::boolean(false), out);
           case 'n': return literal("null", JsonValue::null(), out);
           default:  return parseNumber(out);
         }
+    }
+
+    /**
+     * Run a container parser one level deeper; the bound keeps
+     * hostile input from exhausting the stack through recursion.
+     */
+    bool
+    nested(bool (Parser::*parseContainer)(JsonValue &), JsonValue &out)
+    {
+        if (depth == JsonValue::kMaxParseDepth)
+            return fail("nesting too deep");
+        ++depth;
+        bool ok = (this->*parseContainer)(out);
+        --depth;
+        return ok;
     }
 
     bool
@@ -364,7 +422,7 @@ class Parser
         }
         for (;;) {
             skipWhitespace();
-            JsonValue key;
+            std::string key;
             if (pos >= text.size() || text[pos] != '"')
                 return fail("expected object key");
             if (!parseString(key))
@@ -377,7 +435,7 @@ class Parser
             JsonValue value;
             if (!parseValue(value))
                 return false;
-            out.set(key.asString(), std::move(value));
+            out.set(std::move(key), std::move(value));
             skipWhitespace();
             if (pos >= text.size())
                 return fail("unterminated object");
@@ -442,10 +500,9 @@ class Parser
     }
 
     bool
-    parseString(JsonValue &out)
+    parseString(std::string &value)
     {
         ++pos; // '"'
-        std::string value;
         for (;;) {
             if (pos >= text.size())
                 return fail("unterminated string");
@@ -493,7 +550,6 @@ class Parser
                 return fail("unknown escape");
             }
         }
-        out = JsonValue::string(std::move(value));
         return true;
     }
 
@@ -510,6 +566,10 @@ class Parser
         if (pos >= text.size() ||
             !std::isdigit(static_cast<unsigned char>(text[pos]))) {
             return fail("invalid number");
+        }
+        if (text[pos] == '0' && pos + 1 < text.size() &&
+            std::isdigit(static_cast<unsigned char>(text[pos + 1]))) {
+            return fail("leading zero in number");
         }
         while (pos < text.size() &&
                std::isdigit(static_cast<unsigned char>(text[pos]))) {
@@ -553,13 +613,19 @@ class Parser
                 return true;
             }
         }
-        out = JsonValue::number(std::strtod(token.c_str(), nullptr));
+        double value = std::strtod(token.c_str(), nullptr);
+        if (!std::isfinite(value)) {
+            pos = start;
+            return fail("number out of range");
+        }
+        out = JsonValue::number(value);
         return true;
     }
 
     const std::string &text;
     std::string *error;
     size_t pos = 0;
+    size_t depth = 0;
 };
 
 } // namespace

@@ -19,14 +19,22 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace specfetch {
 
-/** One JSON value; objects preserve member insertion order. */
+/**
+ * One JSON value; objects preserve member insertion order. The node is
+ * a single tagged payload (40 bytes with libstdc++), so a large record
+ * tree costs one small node per value.
+ */
 class JsonValue
 {
   public:
+    using Members = std::vector<std::pair<std::string, JsonValue>>;
+    using Elements = std::vector<JsonValue>;
+
     enum class Kind : uint8_t
     {
         Null,
@@ -50,17 +58,17 @@ class JsonValue
     static JsonValue array();
     /** @} */
 
-    Kind kind() const { return valueKind; }
-    bool isNull() const { return valueKind == Kind::Null; }
-    bool isBool() const { return valueKind == Kind::Bool; }
-    bool isUint() const { return valueKind == Kind::Uint; }
+    Kind kind() const { return static_cast<Kind>(payload.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isBool() const { return kind() == Kind::Bool; }
+    bool isUint() const { return kind() == Kind::Uint; }
     bool isNumber() const
     {
-        return valueKind == Kind::Uint || valueKind == Kind::Double;
+        return kind() == Kind::Uint || kind() == Kind::Double;
     }
-    bool isString() const { return valueKind == Kind::String; }
-    bool isObject() const { return valueKind == Kind::Object; }
-    bool isArray() const { return valueKind == Kind::Array; }
+    bool isString() const { return kind() == Kind::String; }
+    bool isObject() const { return kind() == Kind::Object; }
+    bool isArray() const { return kind() == Kind::Array; }
 
     /** @name Scalar access (panics on kind mismatch) @{ */
     bool asBool() const;
@@ -72,35 +80,49 @@ class JsonValue
 
     /** @name Object interface @{ */
     /** Append (or overwrite) a member; returns *this for chaining. */
-    JsonValue &set(const std::string &key, JsonValue value);
+    JsonValue &set(std::string key, JsonValue value);
     /** Member lookup; nullptr when absent (or not an object). */
     const JsonValue *find(const std::string &key) const;
     /** Drop a member if present; true when something was removed. */
     bool remove(const std::string &key);
-    const std::vector<std::pair<std::string, JsonValue>> &
-    members() const
-    {
-        return objectMembers;
-    }
+    /** The members in insertion order; empty unless an object. */
+    const Members &members() const;
     /** @} */
 
     /** @name Array interface @{ */
     JsonValue &push(JsonValue value);
-    size_t size() const { return arrayElements.size(); }
+    /** Element count; 0 unless an array. */
+    size_t size() const { return elements().size(); }
     const JsonValue &at(size_t index) const;
-    const std::vector<JsonValue> &elements() const
-    {
-        return arrayElements;
-    }
+    /** The elements in order; empty unless an array. */
+    const Elements &elements() const;
     /** @} */
+
+    /**
+     * Reserve room for @p count members (object) or elements (array),
+     * so code that knows the final size grows the node once; no-op on
+     * scalars.
+     */
+    void reserve(size_t count);
 
     /** Compact deterministic serialization (no whitespace). */
     std::string dump() const;
 
     /**
+     * Append the compact serialization to @p out without clearing it
+     * (dump() is this into an empty string).
+     */
+    void dumpTo(std::string &out) const;
+
+    /** Deepest array/object nesting parse() accepts. */
+    static constexpr size_t kMaxParseDepth = 512;
+
+    /**
      * Parse one JSON document (leading/trailing whitespace allowed,
      * nothing else may follow). Returns false and fills @p error (when
-     * given) on malformed input.
+     * given) on malformed input, on nesting deeper than
+     * kMaxParseDepth, on leading zeros, and on numbers outside the
+     * finite double range.
      */
     static bool parse(const std::string &text, JsonValue &out,
                       std::string *error = nullptr);
@@ -116,15 +138,10 @@ class JsonValue
     }
 
   private:
-    void dumpTo(std::string &out) const;
-
-    Kind valueKind = Kind::Null;
-    bool boolValue = false;
-    uint64_t uintValue = 0;
-    double doubleValue = 0.0;
-    std::string stringValue;
-    std::vector<std::pair<std::string, JsonValue>> objectMembers;
-    std::vector<JsonValue> arrayElements;
+    /** Alternatives in Kind order: kind() is the index. */
+    std::variant<std::monostate, bool, uint64_t, double, std::string,
+                 Members, Elements>
+        payload;
 };
 
 } // namespace specfetch

@@ -13,7 +13,10 @@ JsonlWriter::write(const JsonValue &record)
 {
     if (!out)
         return;
-    out << record.dump() << '\n';
+    line.clear();
+    record.dumpTo(line);
+    line.push_back('\n');
+    out.write(line.data(), static_cast<std::streamsize>(line.size()));
     out.flush();
     ++records;
 }

@@ -34,6 +34,8 @@ class JsonlWriter
   private:
     std::string filePath;
     std::ofstream out;
+    /** Serialization buffer; its capacity survives across records. */
+    std::string line;
     size_t records = 0;
 };
 

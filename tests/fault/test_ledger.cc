@@ -19,6 +19,7 @@
 #include "fault/ledger.hh"
 #include "report/json.hh"
 #include "util/checksum.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -30,7 +31,7 @@ class LedgerTest : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "sweep.ledger";
+        path = uniqueTempPath("sweep.ledger");
         std::remove(path.c_str());
     }
 

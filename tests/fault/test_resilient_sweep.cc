@@ -24,6 +24,7 @@
 #include "fault/ledger.hh"
 #include "fault/resilient_sweep.hh"
 #include "report/record.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -54,7 +55,7 @@ class ResilientSweep : public ::testing::Test
     SetUp() override
     {
         specs = grid();
-        path = ::testing::TempDir() + "resilient.ledger";
+        path = uniqueTempPath("resilient.ledger");
         std::remove(path.c_str());
     }
 

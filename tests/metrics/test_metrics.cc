@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -20,6 +18,7 @@
 #include "report/json.hh"
 #include "report/metrics_record.hh"
 #include "report/record.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -28,8 +27,7 @@ namespace {
 std::string
 tempPath(const char *tag)
 {
-    return std::string(::testing::TempDir()) + "specfetch_metrics_" +
-           tag + "_" + std::to_string(::getpid()) + ".jsonl";
+    return uniqueTempPath(std::string(tag) + ".jsonl");
 }
 
 } // namespace

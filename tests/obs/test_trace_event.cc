@@ -7,6 +7,7 @@
  */
 
 #include "obs/trace_event.hh"
+#include "temp_path.hh"
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,7 @@ namespace {
 std::string
 tempTracePath(const char *tag)
 {
-    return testing::TempDir() + "specfetch_trace_" + tag + ".json";
+    return uniqueTempPath(std::string(tag) + ".json");
 }
 
 std::string

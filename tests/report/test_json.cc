@@ -1,11 +1,18 @@
 /**
  * @file
  * JsonValue serializer/parser tests: construction, escaping, exact
- * integer round-trips, structural equality, and malformed-input
- * rejection.
+ * integer round-trips, structural equality, the container views of
+ * every kind, in-place serialization, and malformed-input rejection
+ * (including the nesting bound).
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "report/json.hh"
 
@@ -21,6 +28,16 @@ TEST(Json, ScalarKinds)
     EXPECT_EQ(JsonValue::string("hi").asString(), "hi");
     // Uint also reads as a double.
     EXPECT_DOUBLE_EQ(JsonValue::integer(7).asDouble(), 7.0);
+
+    // kind() is the payload's index, so the constructors pin its order.
+    using Kind = JsonValue::Kind;
+    EXPECT_EQ(JsonValue().kind(), Kind::Null);
+    EXPECT_EQ(JsonValue::boolean(false).kind(), Kind::Bool);
+    EXPECT_EQ(JsonValue::integer(0).kind(), Kind::Uint);
+    EXPECT_EQ(JsonValue::number(0.0).kind(), Kind::Double);
+    EXPECT_EQ(JsonValue::string("").kind(), Kind::String);
+    EXPECT_EQ(JsonValue::object().kind(), Kind::Object);
+    EXPECT_EQ(JsonValue::array().kind(), Kind::Array);
 }
 
 TEST(Json, DumpCompactDeterministic)
@@ -41,6 +58,16 @@ TEST(Json, SetOverwritesInPlace)
     obj.set("k", JsonValue::integer(2));
     ASSERT_EQ(obj.members().size(), 1u);
     EXPECT_EQ(obj.find("k")->asUint(), 2u);
+
+    // Keys past the small-string limit are moved in, and an overwrite
+    // keeps the member's original position.
+    std::string first = "first_instruction";
+    std::string second = "memory_transactions";
+    obj.set(std::move(first), JsonValue::integer(1))
+        .set(std::move(second), JsonValue::integer(2))
+        .set("first_instruction", JsonValue::string("again"));
+    EXPECT_EQ(obj.dump(), "{\"k\":2,\"first_instruction\":\"again\","
+                          "\"memory_transactions\":2}");
 }
 
 TEST(Json, EscapingSpecialCharacters)
@@ -113,24 +140,49 @@ TEST(Json, ParseAcceptsWhitespace)
 TEST(Json, ParseNegativeAndExponentNumbers)
 {
     JsonValue parsed;
-    ASSERT_TRUE(JsonValue::parse("[-2.5, 1e3, -7]", parsed));
+    ASSERT_TRUE(JsonValue::parse("[-2.5, 1e3, -7, 0, -0.5e1, 1e-400]",
+                                 parsed));
     EXPECT_DOUBLE_EQ(parsed.at(0).asDouble(), -2.5);
     EXPECT_DOUBLE_EQ(parsed.at(1).asDouble(), 1000.0);
     EXPECT_DOUBLE_EQ(parsed.at(2).asDouble(), -7.0);
+    EXPECT_EQ(parsed.at(3), JsonValue::integer(0));
+    EXPECT_DOUBLE_EQ(parsed.at(4).asDouble(), -5.0);
+    // Underflow rounds towards zero and stays finite, so it parses.
+    EXPECT_EQ(parsed.at(5).asDouble(), 0.0);
 }
 
 TEST(Json, ParseRejectsMalformedInput)
 {
+    // Far past the nesting bound: rejected, not a stack overflow.
+    std::string deepObjects;
+    for (int i = 0; i < 200'000; ++i)
+        deepObjects += "{\"a\":";
     JsonValue out;
-    for (const char *bad :
-         {"", "{", "}", "{\"a\":}", "{\"a\" 1}", "[1,]", "tru", "\"open",
-          "{\"a\":1} trailing", "01a", "1.", "--3", "{'a':1}",
-          "\"bad\\q\"", "\"\\u12g4\""}) {
+    for (const std::string &bad : std::vector<std::string>{
+             "", "{", "}", "{\"a\":}", "{\"a\" 1}", "[1,]", "tru",
+             "\"open", "{\"a\":1} trailing", "01a", "1.", "--3",
+             "{'a':1}", "\"bad\\q\"", "\"\\u12g4\"", "01", "-01", "00",
+             "[01]", "-00.5", "1e400", "-1e400", "[1e999]",
+             std::string(200'000, '['), deepObjects}) {
         std::string error;
         EXPECT_FALSE(JsonValue::parse(bad, out, &error))
-            << "accepted: " << bad;
+            << "accepted: " << bad.substr(0, 40);
         EXPECT_FALSE(error.empty());
     }
+}
+
+TEST(Json, ParseBoundsNestingDepth)
+{
+    const size_t limit = JsonValue::kMaxParseDepth;
+    JsonValue parsed;
+    std::string error;
+    std::string deepest = std::string(limit, '[') + std::string(limit, ']');
+    EXPECT_TRUE(JsonValue::parse(deepest, parsed, &error)) << error;
+
+    std::string tooDeep =
+        std::string(limit + 1, '[') + std::string(limit + 1, ']');
+    EXPECT_FALSE(JsonValue::parse(tooDeep, parsed, &error));
+    EXPECT_EQ(error, "nesting too deep at offset " + std::to_string(limit));
 }
 
 TEST(Json, EqualityIsStructural)
@@ -145,6 +197,11 @@ TEST(Json, EqualityIsStructural)
     // Kind matters: integer 1 != double 1.0 (golden files must not
     // silently change numeric kind).
     EXPECT_NE(JsonValue::integer(1), JsonValue::number(1.0));
+    EXPECT_NE(JsonValue::integer(0), JsonValue::boolean(false));
+    EXPECT_NE(JsonValue::string("1"), JsonValue::integer(1));
+    EXPECT_NE(JsonValue::null(), JsonValue::object());
+    EXPECT_NE(JsonValue::object(), JsonValue::array());
+    EXPECT_EQ(JsonValue(), JsonValue::null());
 }
 
 TEST(Json, RemoveMember)
@@ -156,4 +213,69 @@ TEST(Json, RemoveMember)
     EXPECT_FALSE(obj.remove("drop"));
     EXPECT_EQ(obj.find("drop"), nullptr);
     EXPECT_NE(obj.find("keep"), nullptr);
+}
+
+TEST(Json, ContainerViewsOfOtherKindsAreEmpty)
+{
+    for (const JsonValue &value :
+         {JsonValue::null(), JsonValue::boolean(true),
+          JsonValue::integer(7), JsonValue::number(2.5),
+          JsonValue::string("text"), JsonValue::array()}) {
+        EXPECT_TRUE(value.members().empty());
+        EXPECT_EQ(value.find("text"), nullptr);
+    }
+    for (const JsonValue &value :
+         {JsonValue::null(), JsonValue::boolean(true),
+          JsonValue::integer(7), JsonValue::number(2.5),
+          JsonValue::string("text"), JsonValue::object()}) {
+        EXPECT_TRUE(value.elements().empty());
+        EXPECT_EQ(value.size(), 0u);
+    }
+}
+
+TEST(Json, DumpToAppendsWithoutClearing)
+{
+    JsonValue doc = JsonValue::array()
+                        .push(JsonValue::integer(1))
+                        .push(JsonValue::number(2.0))
+                        .push(JsonValue::string("a\"b"));
+    std::string out = "prefix:";
+    doc.dumpTo(out);
+    EXPECT_EQ(out, "prefix:" + doc.dump());
+    doc.dumpTo(out);
+    EXPECT_EQ(out, "prefix:" + doc.dump() + doc.dump());
+    EXPECT_EQ(doc.dump(), "[1,2.0,\"a\\\"b\"]");
+}
+
+TEST(Json, NumbersSerializeDeterministically)
+{
+    EXPECT_EQ(JsonValue::integer(0).dump(), "0");
+    EXPECT_EQ(JsonValue::integer(UINT64_MAX).dump(), "18446744073709551615");
+    EXPECT_EQ(JsonValue::number(0.0).dump(), "0.0");
+    EXPECT_EQ(JsonValue::number(-0.0).dump(), "-0.0");
+    EXPECT_EQ(JsonValue::number(3.0).dump(), "3.0");
+    EXPECT_EQ(JsonValue::number(0.1).dump(), "0.1");
+    EXPECT_EQ(JsonValue::number(1e20).dump(), "1e+20");
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(JsonValue::number(inf).dump(), "0.0");
+    EXPECT_EQ(JsonValue::number(-inf).dump(), "0.0");
+    EXPECT_EQ(JsonValue::number(std::nan("")).dump(), "0.0");
+}
+
+TEST(Json, CopyOfNestedDocumentIsDeepAndEqual)
+{
+    JsonValue doc = JsonValue::object();
+    doc.set("name", JsonValue::string("run"))
+        .set("rate", JsonValue::number(0.25))
+        .set("list", JsonValue::array()
+                         .push(JsonValue::integer(1))
+                         .push(JsonValue::object().set(
+                             "deep", JsonValue::array().push(
+                                         JsonValue::boolean(true)))));
+    JsonValue copy = doc;
+    EXPECT_EQ(copy, doc);
+    EXPECT_EQ(copy.dump(), doc.dump());
+    copy.set("name", JsonValue::string("changed"));
+    EXPECT_NE(copy, doc);
+    EXPECT_EQ(doc.find("name")->asString(), "run");
 }

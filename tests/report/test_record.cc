@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "core/miss_classifier.hh"
 #include "report/record.hh"
 #include "report/report.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -199,7 +202,7 @@ TEST(Record, FlattenUsesDottedKeys)
 
 TEST(Record, JsonlWriterRoundTrip)
 {
-    std::string path = testing::TempDir() + "/specfetch_records.jsonl";
+    std::string path = uniqueTempPath("records.jsonl");
     JsonValue first = makeRunRecord(sampleResults(), sampleConfig());
     SimResults other = sampleResults();
     other.workload = "li";
@@ -220,9 +223,39 @@ TEST(Record, JsonlWriterRoundTrip)
     EXPECT_EQ(records[1], second);
 }
 
+TEST(Record, JsonlWriterReusedBufferLeaksNothing)
+{
+    // Long, then short, then long again through one writer: the
+    // short line must not carry a tail of the long one, and the
+    // second long line must not keep anything of the short one.
+    std::string path = uniqueTempPath("reuse.jsonl");
+    JsonValue longRecord = makeRunRecord(sampleResults(), sampleConfig());
+    JsonValue shortRecord =
+        JsonValue::object().set("k", JsonValue::integer(1));
+    SimResults other = sampleResults();
+    other.workload = "li";
+    JsonValue otherLong = makeRunRecord(other, sampleConfig());
+    const std::vector<const JsonValue *> written = {&longRecord, &shortRecord,
+                                                   &otherLong};
+    {
+        JsonlWriter writer(path);
+        ASSERT_TRUE(writer.ok());
+        for (const JsonValue *record : written)
+            writer.write(*record);
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::string contents((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+    std::string expected;
+    for (const JsonValue *record : written)
+        expected += record->dump() + "\n";
+    EXPECT_EQ(contents, expected);
+    std::remove(path.c_str());
+}
+
 TEST(Record, CsvWriterEmitsHeaderAndRows)
 {
-    std::string path = testing::TempDir() + "/specfetch_records.csv";
+    std::string path = uniqueTempPath("records.csv");
     {
         CsvReportWriter writer(path);
         ASSERT_TRUE(writer.ok());

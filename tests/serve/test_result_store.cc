@@ -21,6 +21,7 @@
 #include "fault/injector.hh"
 #include "fault/ledger.hh"
 #include "serve/result_store.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -32,10 +33,7 @@ class ResultStoreTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir = ::testing::TempDir() + "result_store_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
+        dir = uniqueTempPath("result_store");
         removeAll();
     }
 

@@ -23,6 +23,7 @@
 #include "serve/result_store.hh"
 #include "serve/service.hh"
 #include "serve/socket.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -95,10 +96,7 @@ class ServiceTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir = ::testing::TempDir() + "service_store_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
+        dir = uniqueTempPath("service_store");
         // A previous run (ctest re-executes each test in its own
         // process) may have left store segments behind; a stale hit
         // would turn the first miss of this test into a cache hit.

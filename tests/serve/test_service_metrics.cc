@@ -27,6 +27,7 @@
 #include "metrics/metrics.hh"
 #include "serve/result_store.hh"
 #include "serve/service.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -98,10 +99,7 @@ class ServiceMetricsTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir = ::testing::TempDir() + "service_metrics_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
+        dir = uniqueTempPath("service_metrics");
         wipe();
         ResultStore::Options storeOptions;
         storeOptions.dir = dir;

@@ -27,6 +27,7 @@
 #include "serve/service.hh"
 #include "workload/registry.hh"
 #include "workload/workload.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -51,7 +52,7 @@ wipeDir(const std::string &dir)
 
 TEST(StoreIdentity, GridRecordsMatchSerialSimulation)
 {
-    std::string dir = ::testing::TempDir() + "identity_store";
+    std::string dir = uniqueTempPath("store");
     wipeDir(dir); // stale segments from a prior run would mask misses
     SimConfig base;
     base.instructionBudget = kBudget;

@@ -20,6 +20,7 @@
 #include "trace/snapshot.hh"
 #include "workload/executor.hh"
 #include "workload/workload.hh"
+#include "temp_path.hh"
 
 namespace specfetch {
 namespace {
@@ -58,7 +59,7 @@ class CorruptTrace : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "corrupt.sftrace";
+        path = uniqueTempPath("corrupt.sftrace");
     }
 
     void TearDown() override { std::remove(path.c_str()); }
