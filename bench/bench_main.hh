@@ -79,15 +79,10 @@ class BenchMain
                        "invariant-audit level: off, cheap or paranoid");
         opts.addCount("checkpoint-interval", 100'000,
                       "paranoid-audit checkpoint spacing, instructions");
-        opts.addString("ledger", "",
-                       "journal completed runs to this write-ahead "
-                       "ledger (enables --resume)");
         opts.addString("store", "",
-                       "submit the grid to a sweep_serve daemon at this "
-                       "Unix socket instead of simulating locally");
-        opts.addFlag("resume",
-                     "skip runs already journaled in --ledger and "
-                     "re-run only the remainder");
+                       "keep completed runs in the result store at this "
+                       "directory; runs already in it are served, not "
+                       "re-run");
         opts.addCount("retries", 3,
                       "attempts per run before quarantine (1.."
                       + std::to_string(kMaxRetries) + ")");
@@ -160,23 +155,7 @@ class BenchMain
             parseFailed = true;
             return false;
         }
-        ledgerPath = opts.getString("ledger");
-        storeSocket = opts.getString("store");
-        if (!storeSocket.empty() && !ledgerPath.empty()) {
-            std::fprintf(stderr,
-                         "error: --store and --ledger are alternative "
-                         "persistence paths; pick one\n");
-            parseFailed = true;
-            return false;
-        }
-        resume = opts.getFlag("resume");
-        if (resume && ledgerPath.empty()) {
-            std::fprintf(stderr,
-                         "error: --resume needs --ledger to say which "
-                         "ledger to resume from\n");
-            parseFailed = true;
-            return false;
-        }
+        storeDir = opts.getString("store");
         uint64_t retriesRaw = opts.getCount("retries");
         if (retriesRaw < 1 || retriesRaw > kMaxRetries) {
             std::fprintf(stderr,
@@ -241,25 +220,14 @@ class BenchMain
         }
         sampleInterval = opts.getCount("sample-interval");
         heatmap = opts.getFlag("heatmap");
-        if ((sampleInterval > 0 || heatmap) && !storeSocket.empty()) {
-            // Same replay argument as --ledger below: the store keeps
-            // exactly one record per run key.
+        if ((sampleInterval > 0 || heatmap) && !storeDir.empty()) {
+            // The store keeps exactly one record per run key and
+            // serves it verbatim; side-channel timeseries/heatmap rows
+            // would not survive a rerun byte-identically.
             std::fprintf(stderr,
                          "error: --sample-interval/--heatmap cannot be "
                          "combined with --store (observation rows are "
-                         "not stored)\n");
-            parseFailed = true;
-            return false;
-        }
-        if ((sampleInterval > 0 || heatmap) && !ledgerPath.empty()) {
-            // The ledger journals exactly one record per run key and
-            // resume replays it verbatim; side-channel timeseries/
-            // heatmap rows would not survive a resume byte-identically.
-            std::fprintf(stderr,
-                         "error: --sample-interval/--heatmap cannot be "
-                         "combined with --ledger (observation rows are "
-                         "not journaled; a resumed sweep would drop "
-                         "them)\n");
+                         "not stored; a rerun would drop them)\n");
             parseFailed = true;
             return false;
         }
@@ -293,21 +261,13 @@ class BenchMain
             return false;
         }
         adaptiveSeed = opts.getCount("adaptive-seed");
-        if (adaptiveSelector != SelectorKind::Off &&
-            !storeSocket.empty()) {
-            std::fprintf(stderr,
-                         "error: --adaptive cannot be combined with "
-                         "--store (choice-log rows are not stored)\n");
-            parseFailed = true;
-            return false;
-        }
-        if (adaptiveSelector != SelectorKind::Off && !ledgerPath.empty()) {
+        if (adaptiveSelector != SelectorKind::Off && !storeDir.empty()) {
             // Same reason as --sample-interval: adaptive choice-log
-            // rows are side-channel records the ledger cannot replay.
+            // rows are side-channel records the store cannot serve.
             std::fprintf(stderr,
                          "error: --adaptive cannot be combined with "
-                         "--ledger (choice-log rows are not journaled; "
-                         "a resumed sweep would drop them)\n");
+                         "--store (choice-log rows are not stored; a "
+                         "rerun would drop them)\n");
             parseFailed = true;
             return false;
         }
@@ -498,11 +458,9 @@ class BenchMain
     bool parseFailed = false;
     std::unique_ptr<JsonlWriter> json;
     std::unique_ptr<CsvReportWriter> csv;
-    /** @name Fault-tolerance options (DESIGN.md §10, §15) @{ */
-    std::string ledgerPath;
-    /** Unix socket of a sweep_serve daemon (--store client mode). */
-    std::string storeSocket;
-    bool resume = false;
+    /** @name Fault-tolerance options (DESIGN.md §10) @{ */
+    /** Result-store directory (--store); empty = unguarded sweep. */
+    std::string storeDir;
     unsigned retries = 3;
     double runTimeoutSeconds = 0.0;
     FaultInjector injector;

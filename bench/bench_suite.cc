@@ -15,17 +15,14 @@
  * seed, with only the `timing` member varying between machines.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <map>
-#include <thread>
 #include <utility>
 
 #include "adaptive/oracle.hh"
 #include "bench_support.hh"
 #include "core/miss_classifier.hh"
 #include "fault/resilient_sweep.hh"
-#include "serve/socket.hh"
+#include "fault/result_store.hh"
 #include "util/logging.hh"
 #include "workload/workload.hh"
 
@@ -38,36 +35,49 @@ namespace {
 constexpr uint64_t kSuiteBudget = 500'000;
 
 /**
- * Fault-tolerant mode (--ledger [+ --resume]): the grid runs through
- * runResilientSweep — every completed run journaled, failing runs
- * quarantined, resumable after a crash. Records deliberately omit the
- * timing member (the lone nondeterministic part), so an interrupted +
- * resumed sweep's JSONL output is byte-identical to a clean one.
+ * Fault-tolerant mode (--store DIR): the grid runs through
+ * runResilientSweep against the result store at DIR — runs already
+ * stored are served, every executed run is stored (fsync'd) as it
+ * completes, failing runs are quarantined, and a killed sweep resumes
+ * by simply running again. Records deliberately omit the timing
+ * member (the lone nondeterministic part), so an interrupted + rerun
+ * sweep's JSONL output is byte-identical to a clean one.
  */
 int
-runLedgered(const std::vector<RunSpec> &specs,
-            const std::vector<Classification> &classifications,
-            size_t perProfile)
+runStored(const std::vector<RunSpec> &specs,
+          const std::vector<Classification> &classifications,
+          size_t perProfile)
 {
-    ResilientSweepOptions options;
-    options.ledgerPath = benchMain().ledgerPath;
-    options.resume = benchMain().resume;
+    const std::string &dir = benchMain().storeDir;
+    ResultStore store;
+    ResultStore::Options storeOptions;
+    storeOptions.dir = dir;
+    if (!benchMain().injector.empty())
+        storeOptions.injector = &benchMain().injector;
+    std::string error;
+    if (!store.open(storeOptions, &error)) {
+        std::fprintf(stderr, "bench_suite: --store: %s\n", error.c_str());
+        return 1;
+    }
+
+    ResilientSweepOptions options(store);
     options.maxAttempts = benchMain().retries;
     options.runTimeoutSeconds = benchMain().runTimeoutSeconds;
     options.parallelism = benchMain().parallelism;
-    if (!benchMain().injector.empty())
-        options.injector = &benchMain().injector;
+    options.injector = storeOptions.injector;
     options.makeRecord = [&](size_t index, const SimResults &results) {
         return makeRunRecord(results, specs[index].config, nullptr,
                              &classifications[index / perProfile]);
     };
-    std::string rerun = "bench_suite --ledger=" + options.ledgerPath +
-        " --resume --budget=" + std::to_string(benchMain().budget);
+    std::string rerun = "bench_suite --store=" + dir +
+        " --budget=" + std::to_string(benchMain().budget);
     options.rerunCommand = [rerun](size_t) { return rerun; };
 
     benchMain().beginProgress(specs.size());
     ResilientSweepResult sweep = runResilientSweep(specs, options);
     benchMain().endProgress();
+    if (!store.close(&error))
+        warn("result store %s: %s", dir.c_str(), error.c_str());
 
     for (size_t i = 0; i < specs.size(); ++i) {
         if (sweep.completed[i])
@@ -75,7 +85,7 @@ runLedgered(const std::vector<RunSpec> &specs,
     }
 
     // Trailing manifest record: what ran and what was quarantined.
-    // Deliberately free of timing and resumed-run counts so a clean
+    // Deliberately free of timing and served-run counts so a clean
     // and a resumed sweep write identical bytes.
     JsonValue manifest = JsonValue::object();
     manifest.set("schema_version", JsonValue::integer(kReportSchemaVersion));
@@ -97,11 +107,10 @@ runLedgered(const std::vector<RunSpec> &specs,
     manifest.set("failures", failures);
     benchMain().emit(manifest);
 
-    std::printf("\n%zu runs (%zu resumed from %s, %zu executed), "
+    std::printf("\n%zu runs (%zu served from %s, %zu executed), "
                 "%zu quarantined; %zu records -> %s\n",
-                specs.size(), sweep.resumedRuns,
-                options.ledgerPath.c_str(), sweep.executedRuns,
-                sweep.failures.size(),
+                specs.size(), sweep.servedRuns, dir.c_str(),
+                sweep.executedRuns, sweep.failures.size(),
                 benchMain().json->recordsWritten(),
                 benchMain().json->path().c_str());
     for (const SweepFailure &failure : sweep.failures) {
@@ -113,173 +122,6 @@ runLedgered(const std::vector<RunSpec> &specs,
     }
     // Quarantine is the success path of fault tolerance: the sweep
     // finished and said exactly what it could not do.
-    return 0;
-}
-
-/**
- * Service-client mode (--store <socket>): the grid is submitted to a
- * running sweep_serve daemon instead of simulating locally. Responses
- * come back in request order; every `ok` response's run record is
- * emitted verbatim, so — because the daemon builds records exactly
- * like runLedgered (no timing) — the JSONL output of a fully
- * successful pass is byte-identical to a clean `--ledger` run of the
- * same grid, whether the daemon simulated the runs or served them
- * from its store.
- */
-int
-runStoreClient(const std::vector<RunSpec> &specs)
-{
-    const std::string &socketPath = benchMain().storeSocket;
-
-    // Run records indexed by spec so the final emission is in grid
-    // order no matter how many submission rounds it took.
-    std::vector<JsonValue> runs(specs.size());
-    std::vector<bool> haveRun(specs.size(), false);
-    std::map<size_t, JsonValue> failuresByIndex;
-    size_t cachedRuns = 0;
-
-    auto recordFailure = [&](size_t index, const JsonValue *detail) {
-        JsonValue entry = JsonValue::object();
-        entry.set("index", JsonValue::integer(index));
-        entry.set("benchmark",
-                  JsonValue::string(specs[index].benchmark));
-        entry.set("config",
-                  JsonValue::string(specs[index].config.describe()));
-        std::string cause = "service error";
-        uint64_t attempts = 0;
-        if (detail) {
-            if (const JsonValue *message = detail->find("message"))
-                cause = message->asString();
-            if (const JsonValue *tried = detail->find("attempts"))
-                attempts = tried->asUint();
-        }
-        entry.set("cause", JsonValue::string(cause));
-        entry.set("attempts", JsonValue::integer(attempts));
-        entry.set("rerun",
-                  JsonValue::string("bench_suite --store=" + socketPath +
-                                    " --budget=" +
-                                    std::to_string(benchMain().budget)));
-        failuresByIndex[index] = std::move(entry);
-    };
-
-    // Backpressure is an answer, not a failure: `overloaded` and
-    // `deadline_exceeded` responses carry a backoff hint, so the
-    // client sleeps it out and resubmits just the shed specs. Grids
-    // larger than the daemon's admission bound drain in a few rounds;
-    // terminal errors (run_failed, poisoned, ...) are never retried —
-    // the daemon's guard already spent its attempts.
-    std::vector<size_t> pending(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i)
-        pending[i] = i;
-    const unsigned maxRounds =
-        benchMain().retries > 3 ? benchMain().retries : 3;
-    for (unsigned round = 0; round < maxRounds && !pending.empty();
-         ++round) {
-        std::vector<std::string> requests;
-        requests.reserve(pending.size());
-        for (size_t index : pending) {
-            JsonValue request = JsonValue::object();
-            request.set("id", JsonValue::integer(index));
-            request.set("benchmark",
-                        JsonValue::string(specs[index].benchmark));
-            request.set("config", toJson(specs[index].config));
-            requests.push_back(request.dump());
-        }
-        std::vector<std::string> responses;
-        std::string error;
-        if (!serviceBatch(socketPath, requests, responses, &error)) {
-            std::fprintf(stderr, "bench_suite: --store %s: %s\n",
-                         socketPath.c_str(), error.c_str());
-            return 1;
-        }
-        if (responses.size() != requests.size()) {
-            std::fprintf(stderr,
-                         "bench_suite: --store %s: %zu responses for "
-                         "%zu requests\n",
-                         socketPath.c_str(), responses.size(),
-                         requests.size());
-            return 1;
-        }
-
-        std::vector<size_t> retry;
-        double backoffWait = 0.0;
-        for (size_t i = 0; i < responses.size(); ++i) {
-            size_t index = pending[i];
-            JsonValue response;
-            std::string parseError;
-            const JsonValue *status = nullptr;
-            if (!JsonValue::parse(responses[i], response, &parseError) ||
-                !(status = response.find("status"))) {
-                std::fprintf(stderr,
-                             "bench_suite: --store: unparseable "
-                             "response %zu: %s\n",
-                             index, parseError.c_str());
-                return 1;
-            }
-            if (status->asString() == "ok") {
-                const JsonValue *run = response.find("run");
-                panic_if(!run, "ok response without a run record");
-                runs[index] = *run;
-                haveRun[index] = true;
-                const JsonValue *cached = response.find("cached");
-                if (cached && cached->asBool())
-                    ++cachedRuns;
-                continue;
-            }
-            const JsonValue *detail = response.find("error");
-            const JsonValue *type =
-                detail ? detail->find("type") : nullptr;
-            std::string kind = type ? type->asString() : "";
-            bool transient = kind == "overloaded" ||
-                             kind == "deadline_exceeded";
-            if (transient && round + 1 < maxRounds) {
-                retry.push_back(index);
-                if (const JsonValue *hint =
-                        detail->find("backoff_seconds")) {
-                    if (hint->asDouble() > backoffWait)
-                        backoffWait = hint->asDouble();
-                }
-                continue;
-            }
-            recordFailure(index, detail);
-        }
-        pending = std::move(retry);
-        if (!pending.empty()) {
-            std::fprintf(stderr,
-                         "bench_suite: --store: %zu spec(s) shed; "
-                         "retrying after %.2fs\n",
-                         pending.size(),
-                         backoffWait > 0.0 ? backoffWait : 0.1);
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                backoffWait > 0.0 ? backoffWait : 0.1));
-        }
-    }
-
-    for (size_t i = 0; i < specs.size(); ++i)
-        if (haveRun[i])
-            benchMain().emit(runs[i]);
-
-    JsonValue failures = JsonValue::array();
-    for (auto &entry : failuresByIndex)
-        failures.push(std::move(entry.second));
-    size_t failureCount = failures.size();
-    JsonValue manifest = JsonValue::object();
-    manifest.set("schema_version",
-                 JsonValue::integer(kReportSchemaVersion));
-    manifest.set("record", JsonValue::string("sweep_manifest"));
-    manifest.set("runs", JsonValue::integer(specs.size()));
-    manifest.set("completed",
-                 JsonValue::integer(specs.size() - failureCount));
-    manifest.set("failures", failures);
-    benchMain().emit(manifest);
-
-    std::printf("\n%zu runs via %s (%zu served from the store, "
-                "%zu failed); %zu records -> %s\n",
-                specs.size(), socketPath.c_str(), cachedRuns,
-                failureCount, benchMain().json->recordsWritten(),
-                benchMain().json->path().c_str());
-    // Like quarantine in runLedgered, a failed run is a reported
-    // outcome, not a client crash.
     return 0;
 }
 
@@ -447,14 +289,12 @@ main(int argc, char **argv)
         }
     }
 
-    if (!benchMain().ledgerPath.empty()) {
-        return runLedgered(specs, classifications,
-                           allPolicies().size() * 2);
+    if (!benchMain().storeDir.empty()) {
+        return runStored(specs, classifications,
+                         allPolicies().size() * 2);
     }
-    if (!benchMain().storeSocket.empty())
-        return runStoreClient(specs);
     if (!benchMain().injector.empty()) {
-        warn("fault injection is active but no --ledger was given; "
+        warn("fault injection is active but no --store was given; "
              "directives are ignored in the unguarded path");
     }
 

@@ -32,26 +32,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/simulator.hh"
 #include "core/sweep.hh"
-#include "metrics/metrics.hh"
 #include "obs/obs_record.hh"
 #include "report/json.hh"
 #include "report/record.hh"
 #include "report/report.hh"
-#include "serve/result_store.hh"
-#include "serve/service.hh"
 #include "trace/snapshot.hh"
 #include "util/options.hh"
 #include "workload/executor.hh"
@@ -157,14 +148,6 @@ main(int argc, char **argv)
                   "arm the interval sampler on the simulation stages "
                   "(0 = off; measures its overhead, see "
                   "tools/perf_compare.py --overhead)");
-    opts.addFlag("serve-stage",
-                 "also time the sweep service's store-hit path "
-                 "(stage serve_hit; kept off the default stage list so "
-                 "historical baselines keep their shape)");
-    opts.addFlag("metrics",
-                 "arm a MetricsRegistry on the serve stage (measures "
-                 "instrumentation overhead, see tools/perf_compare.py "
-                 "--metrics-overhead)");
     if (!opts.parse(argc, argv))
         return 1;
 
@@ -359,82 +342,6 @@ main(int argc, char **argv)
         results.push_back(r);
     }
 
-    // Stage (opt-in): the sweep service's hot request path — a store
-    // hit answered inline from submit(). One miss pre-populates the
-    // store; the timed loop then measures pure parse + lookup +
-    // respond per request, with or without telemetry armed
-    // (--metrics), which is exactly the delta the ≤3% overhead gate
-    // bounds.
-    if (opts.getFlag("serve-stage")) {
-        constexpr uint64_t kServeRequests = 2000;
-        MetricsRegistry registry;
-        MetricsRegistry *metricsPtr =
-            opts.getFlag("metrics") ? &registry : nullptr;
-        char dirTemplate[] = "/tmp/specfetch-perf-serve-XXXXXX";
-        if (!::mkdtemp(dirTemplate)) {
-            std::fprintf(stderr, "error: mkdtemp failed\n");
-            return 1;
-        }
-        const std::string storeDir = dirTemplate;
-        {
-            ResultStore store;
-            ResultStore::Options storeOptions;
-            storeOptions.dir = storeDir;
-            storeOptions.metrics = metricsPtr;
-            std::string error;
-            if (!store.open(storeOptions, &error)) {
-                std::fprintf(stderr, "error: %s\n", error.c_str());
-                return 1;
-            }
-            SweepService::Options serviceOptions;
-            serviceOptions.workers = 1;
-            serviceOptions.metrics = metricsPtr;
-            SweepService service(store, serviceOptions);
-            service.start();
-
-            const std::string line =
-                "{\"benchmark\":\"" + benchmark +
-                "\",\"config\":{\"instruction_budget\":" +
-                std::to_string(std::min<uint64_t>(budget, 50'000)) +
-                "}}";
-            std::mutex doneMutex;
-            std::condition_variable doneWake;
-            uint64_t answered = 0;
-            auto responder = [&](const JsonValue &) {
-                std::lock_guard<std::mutex> lock(doneMutex);
-                ++answered;
-                doneWake.notify_all();
-            };
-            service.submit(line, responder); // miss: populate the store
-            {
-                std::unique_lock<std::mutex> lock(doneMutex);
-                doneWake.wait(lock, [&] { return answered >= 1; });
-            }
-
-            StageResult r{"serve_hit", "requests",
-                          static_cast<double>(kServeRequests), 0.0};
-            r.seconds = measure(repeats, stat, [&] {
-                for (uint64_t i = 0; i < kServeRequests; ++i)
-                    service.submit(line, responder);
-            });
-            {
-                std::unique_lock<std::mutex> lock(doneMutex);
-                doneWake.wait(lock, [&] {
-                    return answered >= 1 + kServeRequests * repeats;
-                });
-            }
-            gSink = gSink + answered;
-            results.push_back(r);
-            service.drain();
-            store.close(nullptr);
-        }
-        // Best-effort cleanup of the scratch store.
-        std::string cleanup = "rm -rf '" + storeDir + "'";
-        if (std::system(cleanup.c_str()) != 0)
-            std::fprintf(stderr, "warning: could not remove %s\n",
-                         storeDir.c_str());
-    }
-
     std::printf("perf_microbench: %s, budget %llu, %s of %u\n",
                 benchmark.c_str(),
                 static_cast<unsigned long long>(budget),
@@ -458,12 +365,6 @@ main(int argc, char **argv)
         // keep their historical shape.
         if (sampleInterval > 0)
             meta.set("sample_interval", JsonValue::integer(sampleInterval));
-        // Same contract for the serve stage: the overhead comparison
-        // (tools/perf_compare.py --metrics-overhead) demands proof of
-        // which side had telemetry armed.
-        if (opts.getFlag("serve-stage"))
-            meta.set("metrics",
-                     JsonValue::boolean(opts.getFlag("metrics")));
         writer->write(meta);
         for (const StageResult &r : results)
             writer->write(toRecord(r));

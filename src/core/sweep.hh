@@ -118,8 +118,8 @@ struct SweepGuard
     /**
      * Invoked — possibly from a sweep worker thread, never twice for
      * one index — the moment a run completes. The fault-tolerant
-     * bench layer journals the run's record to the write-ahead ledger
-     * here, so a crash an instant later loses nothing.
+     * sweep puts the run's record in the result store here, so a
+     * crash an instant later loses nothing.
      */
     std::function<void(size_t index, const SimResults &results)>
         onRunComplete;

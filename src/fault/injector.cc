@@ -21,7 +21,7 @@ kindFromName(const std::string &name, FaultKind &out)
     } else if (name == "crash") {
         out = FaultKind::Crash;
     } else if (name == "tear") {
-        out = FaultKind::TearLedger;
+        out = FaultKind::Tear;
     } else if (name == "shortwrite") {
         out = FaultKind::ShortWrite;
     } else if (name == "enospc") {
@@ -50,7 +50,7 @@ toString(FaultKind kind)
       case FaultKind::Timeout:         return "timeout";
       case FaultKind::CorruptSnapshot: return "corrupt";
       case FaultKind::Crash:           return "crash";
-      case FaultKind::TearLedger:      return "tear";
+      case FaultKind::Tear:      return "tear";
       case FaultKind::ShortWrite:      return "shortwrite";
       case FaultKind::Enospc:          return "enospc";
     }
@@ -155,27 +155,6 @@ FaultInjector::fires(FaultKind kind, uint64_t index, uint32_t attempt) const
         return draw % flakyDen < flakyNum;
     }
     return false;
-}
-
-FaultInjector
-FaultInjector::atOrdinal(uint64_t ordinal) const
-{
-    FaultInjector out;
-    for (const Directive &directive : directives) {
-        if (directive.index != ordinal)
-            continue;
-        Directive local = directive;
-        local.index = 0;
-        out.directives.push_back(local);
-    }
-    if (flakyDen != 0) {
-        // Resolve the flaky draw for this ordinal now; the projection
-        // has a fixed local index, so the draw can't be replayed there.
-        uint64_t draw = hash64(&ordinal, sizeof(ordinal), flakySeed);
-        if (draw % flakyDen < flakyNum)
-            out.directives.push_back(Directive{FaultKind::Throw, 0, 1});
-    }
-    return out;
 }
 
 } // namespace specfetch

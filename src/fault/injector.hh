@@ -2,7 +2,7 @@
  * @file
  * Deterministic fault injection for the fault-tolerant sweep
  * (DESIGN.md §10). Every recovery path — retry, live-executor
- * fallback, quarantine, ledger replay — is exercised by *forcing* the
+ * fallback, quarantine, store recovery — is exercised by *forcing* the
  * corresponding fault at a chosen run index, so the failure domain is
  * tested in CI rather than trusted on faith.
  *
@@ -13,18 +13,20 @@
  *   throw@5x*        ... on every attempt (the run is quarantined)
  *   timeout@2        run 2's watchdog expires immediately on attempt 1
  *   corrupt@7        run 7's snapshot is bit-flipped before attempt 1
- *   crash@9          the process _Exit()s right after run 9 is journaled
- *   tear@9           like crash@9, but the ledger line is half-written
- *   shortwrite@4     append 4 persists only a prefix of its line, then
+ *   crash@9          the process _Exit()s right after store put 9 is
+ *                    durable, before the sweep sees it acknowledged
+ *   tear@9           like crash@9, but put 9's frame is half-written
+ *   shortwrite@4     put 4 persists only a prefix of its frame, then
  *                    the write fails (torn frame, process survives)
- *   enospc@4         append 4 fails before writing a byte (disk full)
+ *   enospc@4         put 4 fails before writing a byte (disk full)
  *   flaky=1/8:99     seeded pseudo-random throws: attempt 1 of run r
  *                    fails iff hash64(seed=99, r) mod 8 < 1
  *
  * Run indices refer to submission order within the sweep actually
- * executed (after any --resume pruning). Directives are pure functions
- * of (kind, index, attempt): no internal state mutates while firing,
- * so concurrent sweep workers can consult one shared injector.
+ * executed (after runs already in the store are served); put indices
+ * count the store's appends since it was opened. Directives are pure
+ * functions of (kind, index, attempt): no internal state mutates while
+ * firing, so concurrent sweep workers can consult one shared injector.
  *
  * Activation: pass a spec via --fault-inject, or set the
  * SPECFETCH_FAULT_INJECT environment variable (CI uses the latter so
@@ -46,13 +48,16 @@ enum class FaultKind : uint8_t
     Throw,           ///< per-run guard boundary: an exception mid-run
     Timeout,         ///< watchdog wall-clock expiry
     CorruptSnapshot, ///< bit-flip the run's replay snapshot
-    Crash,           ///< hard process death after journaling a run
-    TearLedger,      ///< crash with a half-written ledger line
+    Crash,           ///< hard process death after a durable store put
+    Tear,            ///< crash with a half-written store frame
     ShortWrite,      ///< persist only a prefix of an append, then fail
     Enospc,          ///< fail an append before writing anything
 };
 
 const char *toString(FaultKind kind);
+
+/** Exit code of an injected crash/tear (mirrors SIGKILL's 128+9). */
+constexpr int kCrashExitCode = 137;
 
 /** Environment variable consulted by fromEnv(). */
 constexpr const char *kFaultInjectEnv = "SPECFETCH_FAULT_INJECT";
@@ -98,17 +103,6 @@ class FaultInjector
     bool fires(FaultKind kind, uint64_t index, uint32_t attempt = 1) const;
 
     const std::vector<Directive> &list() const { return directives; }
-
-    /**
-     * Project this injector onto the single run ordinal @p ordinal:
-     * directives aimed at @p ordinal survive with their index rewritten
-     * to 0, everything else is dropped, and a would-fire flaky draw
-     * becomes an explicit throw@0 directive. Lets a caller that
-     * executes runs one at a time (local index always 0, e.g. the
-     * sweep service) reuse a spec whose indices name global submission
-     * ordinals.
-     */
-    FaultInjector atOrdinal(uint64_t ordinal) const;
 
   private:
     std::vector<Directive> directives;

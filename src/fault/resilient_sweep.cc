@@ -1,12 +1,8 @@
 #include "fault/resilient_sweep.hh"
 
-#include <cstdlib>
-#include <deque>
-#include <map>
 #include <mutex>
 
-#include "fault/injector.hh"
-#include "fault/ledger.hh"
+#include "fault/result_store.hh"
 #include "obs/progress.hh"
 #include "obs/trace_event.hh"
 #include "report/record.hh"
@@ -30,101 +26,52 @@ runResilientSweep(const std::vector<RunSpec> &specs,
 {
     panic_if(!options.makeRecord,
              "resilient sweep needs a makeRecord callback");
-    panic_if(options.ledgerPath.empty(),
-             "resilient sweep needs a ledger path");
+    ResultStore &store = options.store;
+    panic_if(!store.isOpen(), "resilient sweep needs an open store");
 
     const size_t n = specs.size();
     ResilientSweepResult result;
     result.records.resize(n);
     result.completed.assign(n, 0);
 
+    // Stored runs are served; only the misses execute.
     std::vector<std::string> keys(n);
-    // Duplicate specs are legal; a key satisfies its occurrences in
-    // submission order, one journaled record each.
-    std::map<std::string, std::deque<size_t>> pendingByKey;
-    for (size_t i = 0; i < n; ++i) {
-        keys[i] = sweepRunKey(specs[i]);
-        pendingByKey[keys[i]].push_back(i);
-    }
-
-    if (options.resume) {
-        TraceSpan span("ledger_resume", "fault");
-        LedgerLoad load;
-        std::string error;
-        if (!loadLedger(options.ledgerPath, load, &error)) {
-            warn("cannot resume: %s; executing the full grid",
-                 error.c_str());
-        } else {
-            for (LedgerEntry &entry : load.entries) {
-                auto it = pendingByKey.find(entry.key);
-                if (it == pendingByKey.end() || it->second.empty()) {
-                    warn("sweep ledger %s: entry %s matches no pending "
-                         "run; ignoring",
-                         options.ledgerPath.c_str(), entry.key.c_str());
-                    continue;
-                }
-                size_t index = it->second.front();
-                it->second.pop_front();
-                result.records[index] = std::move(entry.record);
-                result.completed[index] = 1;
-                ++result.resumedRuns;
+    std::vector<size_t> remaining;
+    std::vector<RunSpec> subSpecs;
+    {
+        TraceSpan span("store_lookup", "fault");
+        for (size_t i = 0; i < n; ++i) {
+            keys[i] = sweepRunKey(specs[i]);
+            if (store.get(keys[i], result.records[i])) {
+                result.completed[i] = 1;
+                ++result.servedRuns;
                 ProgressReporter::global().runResumed();
+            } else {
+                remaining.push_back(i);
+                subSpecs.push_back(specs[i]);
             }
         }
     }
 
-    // Rewrite the ledger with only the entries we accepted: this
-    // heals torn tails and corrupt lines, so every later append lands
-    // on a clean line start.
-    SweepLedger ledger(options.ledgerPath);
-    if (!ledger.ok())
-        fatal("cannot write sweep ledger %s", options.ledgerPath.c_str());
-    ledger.setInjector(options.injector);
-    // An orchestrator SIGTERM must not lose the libc-buffered suffix
-    // of already-journaled runs.
-    SweepLedger::installSignalFlush();
-    for (size_t i = 0; i < n; ++i) {
-        if (result.completed[i])
-            ledger.append(keys[i], result.records[i]);
-    }
-
-    std::vector<size_t> remaining;
-    std::vector<RunSpec> subSpecs;
-    for (size_t i = 0; i < n; ++i) {
-        if (!result.completed[i]) {
-            remaining.push_back(i);
-            subSpecs.push_back(specs[i]);
-        }
-    }
-
-    std::mutex journalMutex;
+    std::mutex resultMutex;
     SweepGuard guard;
     guard.maxAttempts = options.maxAttempts;
     guard.backoffBaseSeconds = options.backoffBaseSeconds;
     guard.runTimeoutSeconds = options.runTimeoutSeconds;
     guard.injector = options.injector;
-    // SPECFETCH-ALLOW(error-boundary): a ledger-append failure means the journal is gone; aborting beats silently dropping runs
+    // SPECFETCH-ALLOW(error-boundary): put() panics only on JsonValue misuse, a programming error; its I/O failures return false and only warn
     guard.onRunComplete = [&](size_t subIndex, const SimResults &results) {
         size_t index = remaining[subIndex];
         JsonValue record = options.makeRecord(index, results);
-        std::lock_guard<std::mutex> lock(journalMutex);
+        // A lost put only costs a re-execution next time; it must
+        // never kill the sweep it protects.
+        std::string error;
+        if (!store.put(keys[index], record, &error))
+            warn("run %zu not stored: %s", index, error.c_str());
+        std::lock_guard<std::mutex> lock(resultMutex);
         result.records[index] = std::move(record);
         result.completed[index] = 1;
         ++result.executedRuns;
-        const FaultInjector *injector = options.injector;
-        if (injector && injector->fires(FaultKind::Crash, subIndex)) {
-            // Die between completing the run and journaling it — the
-            // worst-ordered crash a real sweep can suffer.
-            warn("injected fault: crashing before journaling run %zu",
-                 index);
-            std::_Exit(kCrashExitCode);
-        }
-        if (injector && injector->fires(FaultKind::TearLedger, subIndex)) {
-            warn("injected fault: tearing the ledger at run %zu", index);
-            ledger.appendTorn(keys[index], result.records[index]);
-            std::_Exit(kCrashExitCode);
-        }
-        ledger.append(keys[index], result.records[index]);
     };
 
     SweepOutcome outcome = runSweepGuarded(subSpecs, guard,
@@ -136,6 +83,16 @@ runResilientSweep(const std::vector<RunSpec> &specs,
         if (options.rerunCommand)
             failure.rerunCommand = options.rerunCommand(failure.index);
         result.failures.push_back(std::move(failure));
+    }
+
+    // Heal what the open scan tolerated: a torn tail or quarantined
+    // frame would otherwise sit mid-log once later tails follow it.
+    ResultStore::Stats stats = store.stats();
+    if (stats.tornTail || stats.corruptFrames > 0 ||
+        stats.segmentsLoaded > 1) {
+        std::string error;
+        if (!store.compact(&error))
+            warn("result store compaction failed: %s", error.c_str());
     }
     return result;
 }

@@ -1,22 +1,21 @@
 /**
  * @file
  * The fault-tolerant sweep driver (DESIGN.md §10): runSweepGuarded
- * plus the write-ahead ledger, glued into checkpointed resume.
+ * backed by the durable ResultStore, glued into implicit resume.
  *
- * Clean run:   every completed run's record is journaled to the
- *              ledger (fsync'd) the moment it finishes.
- * Resumed run: the ledger is loaded first; runs whose key already
- *              has a valid journaled record are satisfied from it,
- *              everything else re-executes. Records come back in
- *              grid order either way, and — because simulation is
- *              deterministic and the journaled records carry no
- *              timing — a resumed sweep's output is byte-identical
- *              to an uninterrupted one.
+ * Every spec whose run key is already in the store is served from it
+ * without executing; only the misses run (guarded: retries, watchdog,
+ * quarantine), and each completed run's record is put (fsync'd) the
+ * moment it finishes. Records come back in grid order either way,
+ * and — because simulation is deterministic and the stored records
+ * carry no timing — a sweep killed at any point and rerun against
+ * the same store produces output byte-identical to an uninterrupted
+ * one.
  *
  * The run key is content-addressed (benchmark name + a 64-bit digest
- * of the full configuration manifest), so a resume against a ledger
- * from a *different* grid silently degrades to re-running: mismatched
- * keys just never match.
+ * of the full configuration manifest), so a store filled by a
+ * *different* grid silently degrades to re-running: mismatched keys
+ * just never match.
  */
 
 #ifndef SPECFETCH_FAULT_RESILIENT_SWEEP_HH_
@@ -32,9 +31,7 @@
 namespace specfetch {
 
 class FaultInjector;
-
-/** Exit code of an injected crash/tear (mirrors SIGKILL's 128+9). */
-constexpr int kCrashExitCode = 137;
+class ResultStore;
 
 /**
  * Content-addressed identity of one run: benchmark name plus a hash
@@ -47,23 +44,30 @@ std::string sweepRunKey(const RunSpec &spec);
 /** Policy + plumbing for one fault-tolerant sweep. */
 struct ResilientSweepOptions
 {
-    /** Ledger path (required). Rewritten, then appended per run. */
-    std::string ledgerPath;
-    /** Load the ledger first and skip runs it already completed. */
-    bool resume = false;
+    explicit ResilientSweepOptions(ResultStore &resultStore)
+        : store(resultStore)
+    {
+    }
+
+    /**
+     * Borrowed, already open. Serves stored runs and receives every
+     * executed one; its own injector drives the crash/tear/shortwrite/
+     * enospc hooks.
+     */
+    ResultStore &store;
     /** Attempts per run before quarantine. */
     unsigned maxAttempts = 3;
     /** Base of the exponential retry backoff (seconds). */
     double backoffBaseSeconds = 0.05;
     /** Per-run wall-clock watchdog budget; 0 disables. */
     double runTimeoutSeconds = 0.0;
-    /** Borrowed; may be null. */
+    /** Borrowed; may be null. Drives the per-run guard faults. */
     const FaultInjector *injector = nullptr;
     /** Sweep worker threads; 0 = hardware concurrency. */
     unsigned parallelism = 0;
     /**
-     * Build the journaled (and returned) record for a completed run.
-     * Must be deterministic — no timing — or resume cannot reproduce
+     * Build the stored (and returned) record for a completed run.
+     * Must be deterministic — no timing — or a rerun cannot reproduce
      * the clean run's bytes. Called from sweep worker threads.
      */
     std::function<JsonValue(size_t index, const SimResults &results)>
@@ -81,8 +85,8 @@ struct ResilientSweepResult
     std::vector<uint8_t> completed;
     /** Quarantined runs (original indices, rerunCommand filled). */
     std::vector<SweepFailure> failures;
-    /** Runs satisfied from the ledger without executing. */
-    size_t resumedRuns = 0;
+    /** Runs served from the store without executing. */
+    size_t servedRuns = 0;
     /** Runs actually executed this process. */
     size_t executedRuns = 0;
     /** Timing of the executed portion. */
@@ -93,8 +97,10 @@ struct ResilientSweepResult
 
 /**
  * Run @p specs fault-tolerantly per @p options. Never aborts on a
- * failing run — it quarantines. Dies only on unusable inputs (no
- * makeRecord, no ledger path) or an unwritable ledger.
+ * failing run — it quarantines — and a failed store put only warns.
+ * When the store's open scan dropped a torn tail, quarantined a frame
+ * or read more than one segment file, the store is compacted once
+ * after the sweep, so the next open reads one clean base.
  */
 ResilientSweepResult
 runResilientSweep(const std::vector<RunSpec> &specs,

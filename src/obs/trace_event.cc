@@ -45,27 +45,6 @@ TraceEventSink::recordSpan(const char *name, const char *category,
                            std::chrono::steady_clock::time_point end,
                            const std::string &detail)
 {
-    recordSpanImpl(name, category, begin, end, detail,
-                   /*explicitTid=*/false, 0);
-}
-
-void
-TraceEventSink::recordSpanOnTid(const char *name, const char *category,
-                                std::chrono::steady_clock::time_point begin,
-                                std::chrono::steady_clock::time_point end,
-                                const std::string &detail, uint64_t tid)
-{
-    recordSpanImpl(name, category, begin, end, detail,
-                   /*explicitTid=*/true, tid);
-}
-
-void
-TraceEventSink::recordSpanImpl(const char *name, const char *category,
-                               std::chrono::steady_clock::time_point begin,
-                               std::chrono::steady_clock::time_point end,
-                               const std::string &detail,
-                               bool explicitTid, uint64_t tid)
-{
     using std::chrono::duration_cast;
     using std::chrono::microseconds;
 
@@ -76,7 +55,7 @@ TraceEventSink::recordSpanImpl(const char *name, const char *category,
     span.name = name;
     span.category = category;
     span.detail = detail;
-    span.tid = explicitTid ? tid : tidOf(std::this_thread::get_id());
+    span.tid = tidOf(std::this_thread::get_id());
     // Clamp rather than underflow if a span started before open().
     span.startMicros = begin < origin
         ? 0

@@ -57,25 +57,6 @@ class TraceEventSink
                     const std::string &detail);
 
     /**
-     * Explicit-track tids start here; interned thread tids count up
-     * from 1, so a process would need this many traced threads before
-     * the ranges could collide.
-     */
-    static constexpr uint64_t kExplicitTidBase = 1000;
-
-    /**
-     * Record one complete span on an explicit track. The sweep
-     * service uses this for its per-worker queue/execute lanes, whose
-     * spans belong to a request rather than to the thread that
-     * happens to record them. @p tid should be
-     * kExplicitTidBase + lane.
-     */
-    void recordSpanOnTid(const char *name, const char *category,
-                         std::chrono::steady_clock::time_point begin,
-                         std::chrono::steady_clock::time_point end,
-                         const std::string &detail, uint64_t tid);
-
-    /**
      * Write the buffered document to the path given to open() and
      * stop collecting. Returns false (with a warning) when the file
      * cannot be written. Safe to call when never opened.
@@ -89,12 +70,6 @@ class TraceEventSink
     TraceEventSink() = default;
 
     uint64_t tidOf(std::thread::id id);
-
-    void recordSpanImpl(const char *name, const char *category,
-                        std::chrono::steady_clock::time_point begin,
-                        std::chrono::steady_clock::time_point end,
-                        const std::string &detail, bool explicitTid,
-                        uint64_t tid);
 
     struct Span
     {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Integrity checksums for the fault-tolerance layer: a table-driven
- * CRC-32 (IEEE 802.3 polynomial) for the sweep ledger's per-line tags
+ * CRC-32 (IEEE 802.3 polynomial) for the result store's frame tags
  * and an xxhash-style 64-bit content hash for TraceSnapshot payloads.
  *
  * Both are deterministic functions of the input bytes alone — no
@@ -40,7 +40,7 @@ uint64_t hash64(const void *data, size_t size, uint64_t seed = 0);
 /** Convenience overload over a string's bytes. */
 uint64_t hash64(const std::string &text, uint64_t seed = 0);
 
-/** Render a CRC-32 as the ledger's fixed-width lowercase hex tag. */
+/** Render a CRC-32 as the store's fixed-width lowercase hex tag. */
 std::string crcHex(uint32_t crc);
 
 /** Parse a crcHex() tag back; false on malformed input. */

@@ -1,8 +1,10 @@
 #include "util/string_utils.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace specfetch {
 
@@ -122,8 +124,13 @@ parseScaled(const std::string &text, uint64_t kilo, uint64_t &out)
         return false;
 
     char *end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(t.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
+    if (end == nullptr || *end != '\0' || errno == ERANGE)
+        return false;
+    // Refuse a scaled value that would wrap rather than return it
+    // modulo 2^64.
+    if (v > std::numeric_limits<uint64_t>::max() / multiplier)
         return false;
     out = static_cast<uint64_t>(v) * multiplier;
     return true;

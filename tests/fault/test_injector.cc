@@ -59,7 +59,7 @@ TEST(FaultInjectorParse, AllKindsAndCommaLists)
     EXPECT_TRUE(injector.fires(FaultKind::Timeout, 2));
     EXPECT_TRUE(injector.fires(FaultKind::CorruptSnapshot, 3));
     EXPECT_TRUE(injector.fires(FaultKind::Crash, 4));
-    EXPECT_TRUE(injector.fires(FaultKind::TearLedger, 5));
+    EXPECT_TRUE(injector.fires(FaultKind::Tear, 5));
     EXPECT_FALSE(injector.fires(FaultKind::Crash, 5));
 }
 
@@ -167,44 +167,4 @@ TEST(FaultInjectorAppendKinds, ShortWriteAndEnospcParse)
     EXPECT_FALSE(injector.fires(FaultKind::Enospc, 4));
     EXPECT_STREQ(toString(FaultKind::ShortWrite), "shortwrite");
     EXPECT_STREQ(toString(FaultKind::Enospc), "enospc");
-}
-
-TEST(FaultInjectorAtOrdinal, ProjectsDirectivesToIndexZero)
-{
-    FaultInjector injector;
-    ASSERT_TRUE(
-        FaultInjector::parse("throw@3x2,timeout@5,crash@3", injector));
-
-    // Ordinal 3 keeps its directives, rewritten to index 0.
-    FaultInjector at3 = injector.atOrdinal(3);
-    EXPECT_TRUE(at3.fires(FaultKind::Throw, 0, 1));
-    EXPECT_TRUE(at3.fires(FaultKind::Throw, 0, 2));
-    EXPECT_FALSE(at3.fires(FaultKind::Throw, 0, 3));
-    EXPECT_TRUE(at3.fires(FaultKind::Crash, 0));
-    EXPECT_FALSE(at3.fires(FaultKind::Timeout, 0));
-
-    // Other ordinals see only what aims at them.
-    FaultInjector at5 = injector.atOrdinal(5);
-    EXPECT_TRUE(at5.fires(FaultKind::Timeout, 0));
-    EXPECT_FALSE(at5.fires(FaultKind::Throw, 0));
-    EXPECT_TRUE(injector.atOrdinal(0).empty());
-}
-
-TEST(FaultInjectorAtOrdinal, FlakyDrawBecomesExplicitThrow)
-{
-    FaultInjector injector;
-    ASSERT_TRUE(FaultInjector::parse("flaky=1/4:99", injector));
-    size_t fired = 0;
-    for (uint64_t ordinal = 0; ordinal < 256; ++ordinal) {
-        FaultInjector local = injector.atOrdinal(ordinal);
-        bool localFires = local.fires(FaultKind::Throw, 0, 1);
-        // The projection agrees with the global draw exactly.
-        EXPECT_EQ(localFires,
-                  injector.fires(FaultKind::Throw, ordinal, 1));
-        // ...and fires as a plain first-attempt throw directive.
-        EXPECT_FALSE(local.fires(FaultKind::Throw, 0, 2));
-        fired += localFires;
-    }
-    EXPECT_GT(fired, 256u / 8);
-    EXPECT_LT(fired, 256u / 2);
 }

@@ -119,34 +119,6 @@ TEST_F(TraceEventTest, CloseStopsCollection)
     std::remove(path.c_str());
 }
 
-TEST_F(TraceEventTest, ExplicitTidSpansLandOnTheirLane)
-{
-    std::string path = tempTracePath("explicit_tid");
-    TraceEventSink &sink = TraceEventSink::global();
-    sink.open(path);
-    auto begin = std::chrono::steady_clock::now();
-    auto end = begin + std::chrono::microseconds(250);
-    // The sweep service's per-worker lanes: explicit tids well above
-    // the interned range.
-    sink.recordSpanOnTid("execute", "serve", begin, end, "li:key",
-                         TraceEventSink::kExplicitTidBase);
-    sink.recordSpanOnTid("queue_wait", "serve", begin, end, "",
-                         TraceEventSink::kExplicitTidBase + 1);
-    {
-        TraceSpan interned("normal", "test");
-    }
-    ASSERT_TRUE(sink.close());
-
-    std::string doc = slurp(path);
-    EXPECT_NE(doc.find("\"tid\":1000"), std::string::npos);
-    EXPECT_NE(doc.find("\"tid\":1001"), std::string::npos);
-    // The interned span still gets a small tid (no args: tid is the
-    // event's last member).
-    EXPECT_NE(doc.find("\"tid\":1}"), std::string::npos);
-    EXPECT_NE(doc.find("\"name\":\"queue_wait\""), std::string::npos);
-    std::remove(path.c_str());
-}
-
 TEST_F(TraceEventTest, UnwritablePathFailsOnClose)
 {
     TraceEventSink &sink = TraceEventSink::global();

@@ -104,6 +104,12 @@ TEST(StringUtils, ParseCountRejectsGarbage)
     EXPECT_FALSE(parseCount("12x", v));
     EXPECT_FALSE(parseCount("K", v));
     EXPECT_FALSE(parseCount("KB", v));
+    // Overflow is an error, not a wrapped or saturated value.
+    EXPECT_FALSE(parseCount("18446744073709551616", v));
+    EXPECT_FALSE(parseCount("18446744074G", v));
+    EXPECT_FALSE(parseSize("17179869184G", v));
+    EXPECT_TRUE(parseCount("18446744073709551615", v));
+    EXPECT_EQ(v, UINT64_MAX);
 }
 
 TEST(StringUtils, ParseBool)

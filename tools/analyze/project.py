@@ -28,16 +28,13 @@ SOURCE_SUFFIXES = (".cc", ".cpp", ".hh", ".h")
 SIM_DIRS = (
     "src/core", "src/cache", "src/branch", "src/adaptive", "src/trace",
     "src/workload", "src/isa", "src/check", "src/stats", "src/util",
-    "src/report", "src/obs", "src/fault", "src/metrics",
+    "src/report", "src/obs", "src/fault",
 )
 # Directories whose code runs on parallel sweep worker threads.
-# src/serve is worker code (the service's pool calls into the
-# simulator) but deliberately NOT in SIM_DIRS: deadlines, backoff and
-# heartbeats make wall-clock reads legal there.
 WORKER_DIRS = (
     "src/core", "src/cache", "src/branch", "src/adaptive", "src/trace",
     "src/workload", "src/isa", "src/check", "src/stats", "src/util",
-    "src/obs", "src/fault", "src/serve", "src/metrics",
+    "src/obs", "src/fault",
 )
 # The per-instruction hot path (loop-alloc / loop-virtual scope).
 HOT_DIRS = ("src/core",)

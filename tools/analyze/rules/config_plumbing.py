@@ -8,7 +8,7 @@ Two obligations per field:
                `toJson(config).dump()` into the content-addressed run
                key — an unserialized field means two runs differing
                only in that field hash to the SAME key and silently
-               alias in the sweep ledger and resume checkpoints. This
+               alias in the result store the sweep resumes from. This
                is the worst failure mode the repo has: wrong data
                that looks right.
   settable     the field is referenced somewhere under bench/ or
@@ -35,7 +35,7 @@ class ConfigPlumbing(Rule):
     description = ("SimConfig field that is not serialized into the "
                    "run manifest / content-addressed run key, or that "
                    "no harness can set; unserialized fields make "
-                   "distinct runs alias in the sweep ledger.")
+                   "distinct runs alias in the result store.")
 
     def run(self, project):
         fields = project.struct_fields(CONFIG_HEADER, CONFIG_STRUCT)
@@ -52,8 +52,8 @@ class ConfigPlumbing(Rule):
                     f"{CONFIG_STRUCT}::{name} is not serialized in "
                     f"{SERIALIZER} — it is missing from the manifest "
                     f"AND from the content-addressed run key, so runs "
-                    f"differing only in {name} alias in the sweep "
-                    f"ledger"))
+                    f"differing only in {name} alias in the result "
+                    f"store"))
             if harness_idents and name not in harness_idents:
                 findings.append(Finding(
                     self.rule_id, CONFIG_HEADER, line,

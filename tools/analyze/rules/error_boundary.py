@@ -8,8 +8,8 @@ panic() reached from a worker lambda outside any boundary takes the
 whole sweep down with it, checkpoints and all.
 
 Worker roots are found lexically: every lambda passed to
-parallelFor(...) and every lambda assigned to an `onRunComplete` or
-`onExecute` member (the sweep service's worker body). For each root, two checks run against the name-keyed call
+parallelFor(...) and every lambda assigned to an `onRunComplete`
+member. For each root, two checks run against the name-keyed call
 graph with its can-throw fixed point (see project.functions):
 
   - a throw / panic / fatal directly in the lambda body, outside any
@@ -32,7 +32,7 @@ from . import Rule
 
 _PANIC_IDENTS = frozenset(("panic", "fatal", "panic_if", "fatal_if"))
 _WORKER_CALLS = frozenset(("parallelFor",))
-_WORKER_ASSIGNS = frozenset(("onRunComplete", "onExecute"))
+_WORKER_ASSIGNS = frozenset(("onRunComplete",))
 
 
 def _match_fwd(ctoks, open_index):

@@ -37,14 +37,6 @@ stage runs the same simulation as sim_live with a StaticSelector
 armed, so any throughput difference is pure epoch-ticker and
 choice-log bookkeeping. The bound defaults to 3%.
 
---metrics-overhead bounds the service-telemetry cost (DESIGN.md §16):
-OFF is a `perf_microbench --serve-stage` run without --metrics and ON
-the same run with it, so the serve_hit stage measures the full
-submit -> hit -> respond path with and without the registry armed.
-Only serve_hit is held to the bound — default 3% — and the ON meta
-must carry "metrics": true (and the OFF meta must not), proof the
-flag really differed between the two runs.
-
 --stage-tolerance overrides the global tolerance per stage (repeatable,
 e.g. --stage-tolerance sim_replay=0.15 --stage-tolerance grid=0.15):
 the gated CI job holds the two simulation-throughput stages to a tight
@@ -62,7 +54,6 @@ Usage:
         [--stage-tolerance STAGE=FRAC ...] [--diff-out DIFF.json]
     tools/perf_compare.py --overhead OFF.json ON.json [--strict]
     tools/perf_compare.py --adaptive-overhead PERF.json [--strict]
-    tools/perf_compare.py --metrics-overhead OFF.json ON.json [--strict]
     tools/perf_compare.py --self-test
 """
 
@@ -303,64 +294,6 @@ def compare_adaptive(stages, name, tolerance, strict):
     return 0
 
 
-#: The one stage whose inner loop runs the instrumented request path;
-#: only it is held to the --metrics-overhead bound.
-METRICS_STAGE = "serve_hit"
-
-
-def compare_metrics_overhead(base_meta, base, cur_meta, cur,
-                             baseline_name, current_name, tolerance,
-                             strict):
-    """Bound the slowdown the armed metrics registry causes on the
-    service's hit-serving path (the serve_hit stage)."""
-    for key in ("benchmark", "budget"):
-        if base_meta.get(key) != cur_meta.get(key):
-            raise SystemExit(
-                f"error: measurement settings differ: {key} is "
-                f"{base_meta.get(key)!r} in {baseline_name} but "
-                f"{cur_meta.get(key)!r} in {current_name}")
-    if not cur_meta.get("metrics"):
-        raise SystemExit(
-            f"error: {current_name} was not measured with --metrics; "
-            f"its meta record has no 'metrics': true")
-    if base_meta.get("metrics"):
-        raise SystemExit(
-            f"error: {baseline_name} was measured with the metrics "
-            f"registry armed; the overhead baseline must have it off")
-    for name, stages in ((baseline_name, base), (current_name, cur)):
-        if METRICS_STAGE not in stages:
-            raise SystemExit(
-                f"error: {name} has no '{METRICS_STAGE}' perf record; "
-                f"run perf_microbench with --serve-stage")
-
-    flagged = []
-    print(f"service telemetry overhead (bound {tolerance:.0%} on "
-          f"{METRICS_STAGE})")
-    print(f"{'stage':<16} {'off/s':>14} {'on/s':>14} {'overhead':>9}")
-    for stage in base:
-        if stage not in cur:
-            warn(f"stage '{stage}' is in {baseline_name} but missing "
-                 f"from {current_name}")
-            continue
-        base_rate = base[stage]["rate"]
-        cur_rate = cur[stage]["rate"]
-        overhead = 1.0 - cur_rate / base_rate if base_rate > 0 else 0.0
-        gated = stage == METRICS_STAGE
-        mark = "" if gated else "  (noise floor)"
-        if gated and overhead > tolerance:
-            flagged.append(stage)
-            mark = "  << over budget"
-        print(f"{stage:<16} {base_rate:>14.0f} {cur_rate:>14.0f} "
-              f"{overhead:>8.1%}{mark}")
-
-    if flagged:
-        warn(f"telemetry overhead exceeds {tolerance:.0%} on: "
-             f"{', '.join(flagged)}")
-        if strict:
-            return 1
-    return 0
-
-
 def self_test():
     """Exercise the degradation paths without external fixtures."""
     import contextlib
@@ -596,59 +529,6 @@ def self_test():
             check("missing sim_adaptive raises",
                   "sim_adaptive" in str(err))
 
-        # 9. Metrics-overhead mode: serve_hit gated, others noise floor.
-        metrics_meta = dict(meta, metrics=True)
-        base = {"serve_hit": {"stage": "serve_hit", "rate": 1000.0},
-                "sim_live": {"stage": "sim_live", "rate": 100.0}}
-        cur = {"serve_hit": {"stage": "serve_hit", "rate": 985.0},
-               "sim_live": {"stage": "sim_live", "rate": 80.0}}
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare_metrics_overhead(meta, base, metrics_meta,
-                                            cur, "off", "on", 0.03,
-                                            True)
-        check("1.5% telemetry overhead within the 3% bound", code == 0)
-        check("ungated stage is noise floor, never flagged",
-              "sim_live" not in err.getvalue()
-              and "noise floor" in out.getvalue())
-        cur["serve_hit"]["rate"] = 900.0
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare_metrics_overhead(meta, base, metrics_meta,
-                                            cur, "off", "on", 0.03,
-                                            True)
-        check("10% telemetry overhead flagged strictly", code == 1)
-        check("over-budget serve_hit named",
-              "serve_hit" in err.getvalue())
-
-        # 10. Metrics-overhead refuses mismeasured inputs.
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare_metrics_overhead(meta, base, meta, cur,
-                                         "off", "on", 0.03, False)
-            check("metrics-off CURRENT raises", False)
-        except SystemExit as err:
-            check("metrics-off CURRENT raises", "metrics" in str(err))
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare_metrics_overhead(metrics_meta, base,
-                                         metrics_meta, cur,
-                                         "off", "on", 0.03, False)
-            check("metrics-on BASELINE raises", False)
-        except SystemExit as err:
-            check("metrics-on BASELINE raises", "off" in str(err))
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare_metrics_overhead(
-                    meta, {"sim_live": {"stage": "sim_live",
-                                        "rate": 100.0}},
-                    metrics_meta, cur, "off", "on", 0.03, False)
-            check("missing serve_hit raises", False)
-        except SystemExit as err:
-            check("missing serve_hit raises", "serve_hit" in str(err))
-
     return checker.finish()
 
 
@@ -676,11 +556,6 @@ def main(argv=None):
     parser.add_argument("--adaptive-overhead", action="store_true",
                         help="bound sim_adaptive vs sim_live within ONE "
                              "perf file (default tolerance 0.03)")
-    parser.add_argument("--metrics-overhead", action="store_true",
-                        help="check service telemetry overhead: OFF "
-                             "and ON are --serve-stage runs without "
-                             "and with --metrics (default tolerance "
-                             "0.03)")
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 when any stage is flagged "
                              "(default: warn only)")
@@ -707,15 +582,9 @@ def main(argv=None):
         args.tolerance = 0.25
         if args.overhead:
             args.tolerance = 0.05
-        elif args.metrics_overhead:
-            args.tolerance = 0.03
 
     base_meta, base = load_perf(args.baseline)
     cur_meta, cur = load_perf(args.current)
-    if args.metrics_overhead:
-        return compare_metrics_overhead(base_meta, base, cur_meta, cur,
-                                        args.baseline, args.current,
-                                        args.tolerance, args.strict)
     if args.overhead:
         return compare_overhead(base_meta, base, cur_meta, cur,
                                 args.baseline, args.current,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Offline integrity check for a ResultStore directory.
 
-The store (src/serve/result_store.*) keeps schema-v1 run records in
+The store (src/fault/result_store.*) keeps schema-v1 run records in
 CRC-framed segment logs: one optional compacted `base-<G>.log`
 (header frame, key-sorted data frames, commit frame) plus appended
 `tail-<G>-<K>.log` segments (header frame, then data frames), a
@@ -27,7 +27,8 @@ enforces, so a store can be audited without (or before) opening it:
     - missing CLEAN marker (crash: next open runs a recovery scan);
     - duplicate key across segments (first occurrence wins);
     - leftover base-<G>.tmp (aborted compaction, deleted at open);
-    - unrecognized file names.
+    - unrecognized file names, including a store-shaped name whose
+      number does not fit in uint64 (the store ignores it too).
 
 With --json the findings go to stdout as schema-v1 JSONL instead of
 text: one "fsck_finding" record per error/warning (severity +
@@ -58,6 +59,14 @@ from common.selftest import Checker  # noqa: E402
 _BASE_RE = re.compile(r"^base-(\d+)\.log$")
 _TMP_RE = re.compile(r"^base-(\d+)\.tmp$")
 _TAIL_RE = re.compile(r"^tail-(\d+)-(\d+)\.log$")
+_U64_MAX = (1 << 64) - 1
+
+
+def _numbers(match):
+    """The name's numbers as ints, or None if one overflows uint64
+    (the C++ name parser refuses those rather than wrap them)."""
+    values = [int(group) for group in match.groups()]
+    return None if any(v > _U64_MAX for v in values) else values
 
 
 def frame_line(payload):
@@ -244,12 +253,14 @@ def check_store(directory):
     bases = {}
     tails = {}
     for name in names:
-        if match := _BASE_RE.match(name):
-            bases[int(match.group(1))] = name
-        elif match := _TAIL_RE.match(name):
-            tails.setdefault(int(match.group(1)), {})[
-                int(match.group(2))] = name
-        elif match := _TMP_RE.match(name):
+        match = (_BASE_RE.match(name) or _TAIL_RE.match(name)
+                 or _TMP_RE.match(name))
+        numbers = _numbers(match) if match else None
+        if numbers and match.re is _BASE_RE:
+            bases[numbers[0]] = name
+        elif numbers and match.re is _TAIL_RE:
+            tails.setdefault(numbers[0], {})[numbers[1]] = name
+        elif numbers:
             report.warning(f"{name}: leftover compaction scratch "
                            f"(aborted compact; deleted at next open)")
         elif name not in ("CLEAN", "quarantine.jsonl"):
@@ -450,6 +461,16 @@ def self_test():
             frame_line({"clean_shutdown": {"generation": 2,
                                            "records": 99}})])
     run_case("CLEAN record-count mismatch", clean_lies, True, False)
+
+    def overflow_name(tmp):
+        # 2^64 + 1 wraps to 1 in uint64; the store ignores the file.
+        _good_store(tmp)
+        _write(tmp, "base-18446744073709551617.log", [_header(1, 0)])
+    report = run_case("overflowing generation", overflow_name, False,
+                      True)
+    c.check("overflowing generation: unrecognized, not a generation",
+            any("unrecognized" in w for w in report.warnings)
+            and not any("stale" in w for w in report.warnings))
 
     def empty(tmp):
         pass
