@@ -3,7 +3,7 @@
  * Self-timed perf-regression harness for the simulator itself. It
  * times the stages the sweep pipeline is built from — workload
  * construction, the live executor, snapshot record, snapshot replay,
- * a live and a replayed full simulation, a 10-spec policy grid, and
+ * a streamed and a replayed full simulation, a 10-spec policy grid, and
  * the export of one run's epoch series and set heatmap — and reports
  * each as a throughput (work units per second, best of --repeats
  * wall-clock measurements).
@@ -198,7 +198,7 @@ main(int argc, char **argv)
     }
 
     // Stage: the live architectural executor alone (the correct-path
-    // generator every live run steps once per instruction).
+    // generator every recorded stream steps once per instruction).
     {
         StageResult r{"executor_step", "instructions", instructions, 0.0};
         r.seconds = measure(repeats, stat, [&] {
@@ -243,7 +243,10 @@ main(int argc, char **argv)
         results.push_back(r);
     }
 
-    // Stage: one full simulation fed by the live executor.
+    // Stage: one full simulation that records its own stream from the
+    // executor in 64 KiB chunks as it replays (the path of every run
+    // without a shared snapshot). The stage keeps its historical name
+    // so baselines stay comparable.
     {
         StageResult r{"sim_live", "instructions", instructions, 0.0};
         r.seconds = measure(repeats, stat, [&] {

@@ -6,12 +6,14 @@
  * then compares all five fetch policies on it.
  *
  * This demonstrates the lowest-level public API: Cfg/BasicBlock,
- * layoutProgram, Executor, and FetchEngine, assembled manually.
+ * layoutProgram, Executor, SnapshotReplaySource and FetchEngine,
+ * assembled manually.
  */
 
 #include <cstdio>
 
 #include "core/fetch_engine.hh"
+#include "trace/snapshot.hh"
 #include "util/options.hh"
 #include "util/string_utils.hh"
 #include "util/table.hh"
@@ -126,9 +128,11 @@ main(int argc, char **argv)
     for (FetchPolicy policy : allPolicies()) {
         SimConfig cfg_run = config;
         cfg_run.policy = policy;
-        Executor executor(cfg, 42);
         FetchEngine engine(cfg_run, image);
-        SimResults r = engine.run(executor);
+        Executor executor(cfg, 42);
+        SnapshotReplaySource source(executor,
+                                    cfg_run.streamInstructions());
+        SimResults r = engine.run(source);
         double indirect_rate = 100.0 *
             ratioOf(r.targetMispredicts, r.controlInsts);
         table.addRow({toString(policy), formatFixed(r.ispi(), 3),

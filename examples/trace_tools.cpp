@@ -1,8 +1,9 @@
 /**
  * @file
  * Trace tooling: record a benchmark execution to a trace file,
- * inspect it, and re-simulate from it. Demonstrates that stored
- * traces and live execution are interchangeable front-end inputs.
+ * inspect it, and re-simulate from it. Demonstrates that a stored
+ * trace and the live executor are interchangeable front-end inputs:
+ * either one feeds the engine through the streaming replay cursor.
  *
  *   ./trace_tools record --benchmark=li --budget=1M --trace=/tmp/li.sft
  *   ./trace_tools info --trace=/tmp/li.sft
@@ -15,7 +16,7 @@
 #include "core/fetch_engine.hh"
 #include "trace/format.hh"
 #include "trace/reader.hh"
-#include "trace/replay_source.hh"
+#include "trace/snapshot.hh"
 #include "trace/writer.hh"
 #include "util/options.hh"
 #include "util/string_utils.hh"
@@ -96,7 +97,6 @@ simulate(const OptionParser &opts)
     }
 
     TraceReader reader(opts.getString("trace"));
-    ReplaySource source(reader);
 
     SimConfig config;
     config.policy = policy;
@@ -104,6 +104,7 @@ simulate(const OptionParser &opts)
     config.nextLinePrefetch = opts.getFlag("prefetch");
 
     FetchEngine engine(config, reader.image());
+    SnapshotReplaySource source(reader, config.streamInstructions());
     SimResults results = engine.run(source);
     results.workload = opts.getString("trace");
     std::fputs(results.summary().c_str(), stdout);

@@ -6,6 +6,7 @@
 #ifndef SPECFETCH_CORE_CONFIG_HH_
 #define SPECFETCH_CORE_CONFIG_HH_
 
+#include <algorithm>
 #include <string>
 
 #include "adaptive/selector_kind.hh"
@@ -102,6 +103,15 @@ struct SimConfig
     uint64_t instructionBudget = 10'000'000;
     uint64_t warmupInstructions = 0;  ///< retired before stats reset
     uint64_t runSeed = 42;            ///< dynamic-behavior seed
+
+    /** Instructions a run consumes from its source: warmup + budget,
+     *  saturating. */
+    uint64_t
+    streamInstructions() const
+    {
+        return instructionBudget +
+            std::min(warmupInstructions, UINT64_MAX - instructionBudget);
+    }
     /** @} */
 
     /** @name Correctness auditing (src/check; never affects results) @{ */

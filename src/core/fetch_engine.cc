@@ -545,8 +545,8 @@ FetchEngine::runLoop(Source &source)
     uint64_t next_watchdog =
         watchdog_armed ? kWatchdogPollInterval : UINT64_MAX;
 
-    // Statically bound when Source is a final class; the generic
-    // InstructionSource instantiation keeps the virtual dispatch.
+    // Statically bound for SnapshotReplaySource; the scalar reference
+    // instantiation keeps the virtual dispatch.
     // lint: allow(loop-virtual)
     while (retired_warmup < warmup && source.next(inst)) {
         fetchOne<P, PF>(inst);
@@ -712,16 +712,16 @@ FetchEngine::runWith(Source &source)
     return runLoop<Source, kDynamic, kDynamic>(source);
 }
 
-template SimResults
-FetchEngine::runWith<InstructionSource>(InstructionSource &);
-template SimResults FetchEngine::runWith<Executor>(Executor &);
-template SimResults
-FetchEngine::runWith<SnapshotReplaySource>(SnapshotReplaySource &);
+SimResults
+FetchEngine::run(SnapshotReplaySource &source)
+{
+    return runWith(source);
+}
 
 SimResults
 FetchEngine::run(InstructionSource &source)
 {
-    return runWith<InstructionSource>(source);
+    return runWith(source);
 }
 
 } // namespace specfetch

@@ -40,6 +40,7 @@ namespace specfetch {
 class InvariantAuditor;
 class IntervalSampler;
 class PolicySelector;
+class SnapshotReplaySource;
 
 /**
  * One simulated front end. Construct per run (state is not reusable
@@ -60,29 +61,18 @@ class FetchEngine
 
     /**
      * Run until the configured instruction budget is retired or the
-     * source is exhausted.
+     * source is exhausted. The production path: a statically bound
+     * source step and plain runs retired in per-line batches
+     * (DESIGN.md §14).
      */
-    SimResults run(InstructionSource &source);
+    SimResults run(SnapshotReplaySource &source);
 
     /**
-     * Typed variant of run(): when @p Source is a final concrete
-     * class (Executor, SnapshotReplaySource) the per-instruction
-     * source step is statically bound and inlined instead of being a
-     * virtual call per instruction. Results are identical to run().
-     * Instantiated in fetch_engine.cc for InstructionSource,
-     * Executor, and SnapshotReplaySource.
-     *
-     * Internally this is a dispatcher (DESIGN.md §14): for a static
-     * run it switches once on (config.policy, prefetch on/off) and
-     * enters a runLoop instantiation where both are compile-time
-     * constants, so the per-instruction and per-line paths carry no
-     * policy switch and no prefetch branches at all. Adaptive runs
-     * (config.adaptiveSelector != Off), whose policy changes at epoch
-     * boundaries, take the dynamic-policy instantiation, which reads
-     * config.policy per access exactly as before.
+     * The scalar reference path with identical results: one virtual
+     * next() and one fetchOne() per instruction. Tests and the
+     * paranoid sweep cross-check compare against it.
      */
-    template <typename Source>
-    SimResults runWith(Source &source);
+    SimResults run(InstructionSource &source);
 
     /** Reset all machine state (cache, predictor, clocks, stats). */
     void reset();
@@ -197,6 +187,16 @@ class FetchEngine
     /** Trigger next-line prefetching for a correct-path access. */
     template <int PF>
     void maybePrefetch(Addr line_addr);
+
+    /**
+     * Body of both run() overloads (DESIGN.md §14): switches once on
+     * (config.policy, prefetch on/off) into a runLoop instantiation
+     * where both are compile-time constants. Adaptive runs, whose
+     * policy changes at epoch boundaries, take the dynamic-policy
+     * instantiation.
+     */
+    template <typename Source>
+    SimResults runWith(Source &source);
 
     /**
      * The fetch loop proper, shared by every dispatch target of

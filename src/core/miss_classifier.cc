@@ -3,6 +3,7 @@
 #include "check/invariant.hh"
 #include "core/fetch_engine.hh"
 #include "stats/stats.hh"
+#include "trace/snapshot.hh"
 #include "util/logging.hh"
 #include "workload/executor.hh"
 
@@ -90,10 +91,11 @@ classifyMisses(const Workload &workload, const SimConfig &config,
     cfg.warmupInstructions = 0;
 
     ShadowObserver shadow(cfg.icache);
-    Executor executor(workload.cfg, cfg.runSeed);
     FetchEngine engine(cfg, workload.image);
     engine.setObserver(&shadow);
-    SimResults results = engine.run(executor);
+    Executor executor(workload.cfg, cfg.runSeed);
+    SnapshotReplaySource source(executor, cfg.streamInstructions());
+    SimResults results = engine.run(source);
 
     Classification out;
     out.workload = workload.profile.name;

@@ -6,49 +6,60 @@
 
 namespace specfetch {
 
+namespace {
+
+/**
+ * Every overload lands here: replay @p snapshot when given, else
+ * record the (workload, config.runSeed) stream through a streaming
+ * cursor as the run consumes it.
+ */
+SimResults
+simulate(const Workload &workload, const SimConfig &config,
+         const TraceSnapshot *snapshot, RunObservations *observations)
+{
+    FetchEngine engine(config, workload.image);
+    SimResults results;
+    if (snapshot) {
+        SnapshotReplaySource source(*snapshot);
+        results = engine.run(source);
+    } else {
+        Executor executor(workload.cfg, config.runSeed);
+        SnapshotReplaySource source(executor, config.streamInstructions());
+        results = engine.run(source);
+    }
+    if (observations)
+        engine.takeObservations(*observations);
+    results.workload = workload.profile.name;
+    return results;
+}
+
+} // namespace
+
 SimResults
 runSimulation(const Workload &workload, const SimConfig &config)
 {
-    Executor executor(workload.cfg, config.runSeed);
-    FetchEngine engine(config, workload.image);
-    SimResults results = engine.runWith(executor);
-    results.workload = workload.profile.name;
-    return results;
+    return simulate(workload, config, nullptr, nullptr);
 }
 
 SimResults
 runSimulation(const Workload &workload, const SimConfig &config,
               const TraceSnapshot &snapshot)
 {
-    SnapshotReplaySource source(snapshot);
-    FetchEngine engine(config, workload.image);
-    SimResults results = engine.runWith(source);
-    results.workload = workload.profile.name;
-    return results;
+    return simulate(workload, config, &snapshot, nullptr);
 }
 
 SimResults
 runSimulation(const Workload &workload, const SimConfig &config,
               RunObservations &observations)
 {
-    Executor executor(workload.cfg, config.runSeed);
-    FetchEngine engine(config, workload.image);
-    SimResults results = engine.runWith(executor);
-    engine.takeObservations(observations);
-    results.workload = workload.profile.name;
-    return results;
+    return simulate(workload, config, nullptr, &observations);
 }
 
 SimResults
 runSimulation(const Workload &workload, const SimConfig &config,
               const TraceSnapshot &snapshot, RunObservations &observations)
 {
-    SnapshotReplaySource source(snapshot);
-    FetchEngine engine(config, workload.image);
-    SimResults results = engine.runWith(source);
-    engine.takeObservations(observations);
-    results.workload = workload.profile.name;
-    return results;
+    return simulate(workload, config, &snapshot, &observations);
 }
 
 SimResults

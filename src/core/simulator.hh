@@ -1,7 +1,8 @@
 /**
  * @file
  * High-level simulation entry points: the one-call public API most
- * users (and all examples/benches) go through.
+ * users (and all examples/benches) go through. Every overload feeds
+ * the engine through a SnapshotReplaySource (DESIGN.md §9).
  */
 
 #ifndef SPECFETCH_CORE_SIMULATOR_HH_
@@ -18,7 +19,8 @@
 namespace specfetch {
 
 /**
- * Run one policy on an already-built workload.
+ * Run one policy on an already-built workload, recording its
+ * correct-path stream through the streaming cursor.
  *
  * @param workload Built workload (buildWorkload or trace-loaded).
  * @param config   Machine configuration; the run seed drives the
@@ -28,11 +30,10 @@ SimResults runSimulation(const Workload &workload, const SimConfig &config);
 
 /**
  * Run one policy on an already-built workload, replaying a recorded
- * correct-path stream instead of re-interpreting the CFG. Results are
- * bit-identical to the live-executor overload provided the snapshot
- * was recorded from (workload, config.runSeed) and covers at least
- * warmupInstructions + instructionBudget instructions
- * (tests/trace/test_snapshot.cc pins this).
+ * shared snapshot. Results are bit-identical to the streaming
+ * overload provided the snapshot was recorded from (workload,
+ * config.runSeed) and covers at least config.streamInstructions()
+ * instructions (tests/trace/test_snapshot.cc pins this).
  */
 SimResults runSimulation(const Workload &workload, const SimConfig &config,
                          const TraceSnapshot &snapshot);

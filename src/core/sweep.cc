@@ -8,10 +8,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
 #include "check/invariant.hh"
+#include "core/fetch_engine.hh"
 #include "core/simulator.hh"
 #include "fault/guard.hh"
 #include "fault/injector.hh"
@@ -102,16 +104,15 @@ prepareShared(const std::vector<RunSpec> &specs, unsigned workers,
     // Record-once/replay-many: every spec sharing (benchmark, seed)
     // consumes the identical correct-path stream, so record it in one
     // executor pass — long enough for the hungriest consumer — and
-    // replay it across all of them. Streams with a single consumer
-    // (or beyond the memory cap) stay on live execution.
+    // replay it across all of them. The consumer count only decides
+    // where records live: a run of any other stream records its own.
     SweepClock::time_point recordStart = SweepClock::now();
     std::map<StreamKey, uint64_t> streamLength;
     std::map<StreamKey, size_t> streamUses;
     for (const RunSpec &spec : specs) {
         StreamKey key{spec.benchmark, spec.config.runSeed};
-        uint64_t length =
-            spec.config.warmupInstructions + spec.config.instructionBudget;
-        streamLength[key] = std::max(streamLength[key], length);
+        streamLength[key] =
+            std::max(streamLength[key], spec.config.streamInstructions());
         ++streamUses[key];
     }
     std::vector<std::pair<StreamKey, uint64_t>> toRecord;
@@ -141,12 +142,11 @@ prepareShared(const std::vector<RunSpec> &specs, unsigned workers,
 }
 
 /**
- * Paranoid sweeps cross-validate the whole fast path: every run is
- * repeated serially *through the live executor* (never a replay) and
- * must be bit-identical. Any divergence is either cross-thread state
- * leakage or a snapshot record/replay defect. Quarantined runs (when
- * @p completed is non-null) are excluded — they have no result to
- * validate.
+ * Paranoid sweeps cross-validate the whole production path: every run
+ * is repeated serially on the engine's scalar reference path over a
+ * live executor (no encoder, cursor or batching) and must be
+ * bit-identical. Quarantined runs (when @p completed is non-null) are
+ * excluded — they have no result to validate.
  */
 void
 paranoidCrossValidate(const std::vector<RunSpec> &specs,
@@ -167,8 +167,12 @@ paranoidCrossValidate(const std::vector<RunSpec> &specs,
         if (completed && !(*completed)[i])
             continue;
         checkedResults.push_back(results[i]);
-        serial.push_back(runSimulation(
-            *shared.workloads.at(specs[i].benchmark), specs[i].config));
+        const Workload &workload = *shared.workloads.at(specs[i].benchmark);
+        Executor executor(workload.cfg, specs[i].config.runSeed);
+        FetchEngine engine(specs[i].config, workload.image);
+        SimResults reference = engine.run(executor);
+        reference.workload = workload.profile.name;
+        serial.push_back(std::move(reference));
     }
     InvariantAuditor auditor(CheckLevel::Paranoid);
     auditSweepDeterminism(checkedResults, serial, auditor);
@@ -208,7 +212,8 @@ struct GuardedRun
 /**
  * Execute one spec behind the guard: exception boundary, optional
  * watchdog, snapshot-integrity check, retry with exponential backoff
- * degrading from snapshot replay to the live executor.
+ * degrading from the shared snapshot to a privately re-recorded
+ * stream.
  */
 GuardedRun
 runOneGuarded(const Workload &workload, const RunSpec &spec,
@@ -235,9 +240,9 @@ runOneGuarded(const Workload &workload, const RunSpec &spec,
             bool expireNow = injector &&
                 injector->fires(FaultKind::Timeout, index, attempt);
 
-            // Degraded retry: only the first attempt may replay; a
-            // rerun goes through the live executor in case the
-            // snapshot itself is implicated.
+            // Degraded retry: only the first attempt may replay the
+            // shared snapshot; a rerun re-records a private stream in
+            // case the snapshot itself is implicated.
             const TraceSnapshot *snap = attempt == 1 ? snapshot : nullptr;
             TraceSnapshot corrupted;
             if (snap && injector &&
@@ -250,31 +255,25 @@ runOneGuarded(const Workload &workload, const RunSpec &spec,
             if (snap) {
                 std::string why;
                 if (!snap->verify(&why)) {
-                    warn("sweep run %zu: %s; refusing replay, degrading "
-                         "to live execution",
+                    warn("sweep run %zu: %s; refusing replay, "
+                         "re-recording a private stream",
                          index, why.c_str());
                     snap = nullptr;
                 }
             }
 
             ScopedThrowOnError boundary;
+            std::optional<Watchdog> watchdog;
             if (guard.runTimeoutSeconds > 0.0 || expireNow) {
                 // Generous runaway tripwire: well past anything a
                 // budget-respecting run can retire.
-                uint64_t ceiling = (spec.config.warmupInstructions +
-                                    spec.config.instructionBudget) *
-                        2 +
-                    1'000'000;
-                Watchdog watchdog(guard.runTimeoutSeconds, ceiling,
-                                  expireNow);
-                out.results = snap
-                    ? runSimulation(workload, spec.config, *snap)
-                    : runSimulation(workload, spec.config);
-            } else {
-                out.results = snap
-                    ? runSimulation(workload, spec.config, *snap)
-                    : runSimulation(workload, spec.config);
+                watchdog.emplace(guard.runTimeoutSeconds,
+                                 spec.config.streamInstructions() * 2 +
+                                     1'000'000,
+                                 expireNow);
             }
+            out.results = snap ? runSimulation(workload, spec.config, *snap)
+                               : runSimulation(workload, spec.config);
             out.ok = true;
             return out;
         } catch (const std::exception &e) {

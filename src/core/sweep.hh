@@ -48,9 +48,9 @@ struct SweepTiming
 };
 
 /**
- * Snapshots larger than this are not recorded (the runs fall back to
- * live execution): beyond it the packed stream's memory footprint
- * (~3-4 bytes/instruction) outweighs the replay win.
+ * Streams longer than this are not shared (each consumer records its
+ * own in 64 KiB chunks): beyond it the packed stream's footprint
+ * (~3-4 bytes/instruction) outweighs the saved executor passes.
  */
 constexpr uint64_t kSweepSnapshotMaxInstructions = 64'000'000;
 
@@ -60,9 +60,11 @@ constexpr uint64_t kSweepSnapshotMaxInstructions = 64'000'000;
  * Shared work is hoisted out of the per-spec runs: each benchmark's
  * workload is built (or fetched from the process-wide store) once,
  * and each distinct (benchmark, run seed) correct-path stream that
- * more than one spec consumes is recorded once into a TraceSnapshot
- * and replayed by all of them — the identical stream, so results are
- * bit-identical to live execution at any parallelism.
+ * more than one spec consumes is recorded once into a shared
+ * TraceSnapshot and replayed by all of them; every other run records
+ * its own in 64 KiB chunks. Results are bit-identical to single runs
+ * at any parallelism, which paranoid sweeps check against the
+ * engine's scalar reference path over a live executor.
  *
  * @param specs        Requests.
  * @param parallelism  Worker threads; 0 = hardware concurrency.
@@ -144,7 +146,7 @@ struct SweepOutcome
  * process), an optional cooperative watchdog, and a retry loop with
  * exponential backoff. The first attempt may replay the shared
  * correct-path snapshot (after verifying its content digest); every
- * retry degrades to the live executor. A run that exhausts
+ * retry re-records a private stream. A run that exhausts
  * guard.maxAttempts is quarantined into the outcome's failures array
  * and the sweep carries on.
  *

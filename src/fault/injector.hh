@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic fault injection for the fault-tolerant sweep
- * (DESIGN.md §10). Every recovery path — retry, live-executor
+ * (DESIGN.md §10). Every recovery path — retry, private-stream
  * fallback, quarantine, store recovery — is exercised by *forcing* the
  * corresponding fault at a chosen run index, so the failure domain is
  * tested in CI rather than trusted on faith.

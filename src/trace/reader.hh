@@ -13,6 +13,7 @@
 
 #include "isa/instruction.hh"
 #include "isa/program_image.hh"
+#include "workload/executor.hh"
 
 namespace specfetch {
 
@@ -24,13 +25,14 @@ namespace specfetch {
  * sizes are validated against the file itself before any allocation,
  * and malformed input raises TraceError (trace/format.hh) — from the
  * constructor for header/image damage, from next() for stream damage.
+ * The engine consumes a trace through a streaming SnapshotReplaySource.
  */
-class TraceReader
+class TraceReader : public InstructionSource
 {
   public:
     /** @throws TraceError on an unreadable or malformed file. */
     explicit TraceReader(const std::string &path);
-    ~TraceReader();
+    ~TraceReader() override;
 
     TraceReader(const TraceReader &) = delete;
     TraceReader &operator=(const TraceReader &) = delete;
@@ -45,7 +47,7 @@ class TraceReader
      * Decode the next record; false at end of trace.
      * @throws TraceError on a corrupt or truncated record.
      */
-    bool next(DynInst &out);
+    bool next(DynInst &out) override;
 
     uint64_t recordsRead() const { return records; }
 

@@ -1,7 +1,5 @@
 #include "trace/snapshot.hh"
 
-#include <cstring>
-
 #include "util/checksum.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -9,18 +7,6 @@
 namespace specfetch {
 
 namespace {
-
-/** Serialized header, little-endian, 40 bytes. */
-struct SnapshotHeader
-{
-    uint32_t magic = 0;
-    uint32_t version = 0;
-    uint64_t startPc = 0;
-    uint64_t instructionCount = 0;
-    uint64_t recordCount = 0;
-    uint64_t contentHash = 0;
-};
-static_assert(sizeof(SnapshotHeader) == 40, "header layout is the format");
 
 bool
 refuse(std::string *error, const std::string &reason)
@@ -32,53 +18,79 @@ refuse(std::string *error, const std::string &reason)
 
 } // namespace
 
-TraceSnapshot
-TraceSnapshot::record(InstructionSource &source, uint64_t length,
-                      uint32_t max_plain_run)
+SnapshotEncoder::SnapshotEncoder(InstructionSource &_source,
+                                 uint64_t _length, uint32_t max_plain_run)
+    : source(_source), length(_length), maxPlainRun(max_plain_run)
 {
     panic_if(max_plain_run == 0, "snapshot plain runs cannot be empty");
+}
 
-    TraceSnapshot snap;
-    // ~20-25% of dynamic instructions are control (paper Table 3), so
-    // one record per ~4-5 instructions; reserve for the dense case.
-    snap.recs.reserve(static_cast<size_t>(length / 4 + 1));
-
+size_t
+SnapshotEncoder::encode(TraceSnapshot::ControlRecord *out, size_t capacity)
+{
+    using ControlRecord = TraceSnapshot::ControlRecord;
+    size_t n = 0;
     DynInst inst;
-    uint64_t plain_run = 0;
-    Addr expected = 0;
-    while (snap.count < length && source.next(inst)) {
-        if (snap.count == 0) {
-            snap.start = inst.pc;
+    while (n < capacity) {
+        if (ended || count == length || !source.next(inst)) {
+            ended = true;
+            if (plainRun > 0) {
+                out[n++] = ControlRecord{0, plainRun,
+                                         TraceSnapshot::kRunOnly, 0, 0};
+                plainRun = 0;
+            }
+            break;
+        }
+        if (count == 0) {
+            start = inst.pc;
         } else {
             panic_if(inst.pc != expected,
                      "snapshot source is not path-continuous at "
                      "instruction %llu: pc %llx, expected %llx",
-                     static_cast<unsigned long long>(snap.count),
+                     static_cast<unsigned long long>(count),
                      static_cast<unsigned long long>(inst.pc),
                      static_cast<unsigned long long>(expected));
         }
         expected = inst.nextPc();
-        ++snap.count;
+        ++count;
 
         if (inst.cls == InstClass::Plain) {
-            if (++plain_run == max_plain_run) {
-                snap.recs.push_back(
-                    ControlRecord{0, max_plain_run, kRunOnly, 0, 0});
-                plain_run = 0;
+            if (++plainRun == maxPlainRun) {
+                out[n++] = ControlRecord{0, maxPlainRun,
+                                         TraceSnapshot::kRunOnly, 0, 0};
+                plainRun = 0;
             }
         } else {
-            snap.recs.push_back(ControlRecord{
-                inst.target, static_cast<uint32_t>(plain_run),
-                wireClass(inst.cls),
-                static_cast<uint8_t>(inst.taken ? 1 : 0), 0});
-            plain_run = 0;
+            out[n++] = ControlRecord{
+                inst.target, plainRun, wireClass(inst.cls),
+                static_cast<uint8_t>(inst.taken ? 1 : 0), 0};
+            plainRun = 0;
         }
     }
-    if (plain_run > 0) {
-        snap.recs.push_back(ControlRecord{
-            0, static_cast<uint32_t>(plain_run), kRunOnly, 0, 0});
+    return n;
+}
+
+TraceSnapshot
+TraceSnapshot::record(InstructionSource &source, uint64_t length,
+                      uint32_t max_plain_run)
+{
+    SnapshotEncoder encoder(source, length, max_plain_run);
+    TraceSnapshot snap;
+    // ~20-25% of dynamic instructions are control (paper Table 3), so
+    // one record per ~4-5 instructions; reserve for the dense case.
+    snap.recs.reserve(static_cast<size_t>(length / 4 + 1));
+    const size_t chunk = SnapshotReplaySource::kChunkRecords;
+    for (;;) {
+        size_t used = snap.recs.size();
+        snap.recs.resize(used + chunk);
+        size_t got = encoder.encode(snap.recs.data() + used, chunk);
+        snap.recs.resize(used + got);
+        if (got < chunk)
+            break;
     }
     snap.recs.shrink_to_fit();
+    snap.start = encoder.startPc();
+    snap.count = encoder.instructionCount();
     snap.hash = snap.computeHash();
     return snap;
 }
@@ -134,79 +146,33 @@ TraceSnapshot::validate(std::string *error) const
 }
 
 void
-TraceSnapshot::serialize(std::vector<uint8_t> &out) const
-{
-    SnapshotHeader header;
-    header.magic = kMagic;
-    header.version = kVersion;
-    header.startPc = start;
-    header.instructionCount = count;
-    header.recordCount = recs.size();
-    header.contentHash = hash;
-
-    size_t payload = recs.size() * sizeof(ControlRecord);
-    size_t base = out.size();
-    out.resize(base + sizeof(header) + payload);
-    std::memcpy(out.data() + base, &header, sizeof(header));
-    if (payload > 0)
-        std::memcpy(out.data() + base + sizeof(header), recs.data(),
-                    payload);
-}
-
-bool
-TraceSnapshot::deserialize(const uint8_t *data, size_t size,
-                           TraceSnapshot &out, std::string *error)
-{
-    out = TraceSnapshot{};
-    if (size < sizeof(SnapshotHeader))
-        return refuse(error, "truncated snapshot: no room for the header");
-
-    SnapshotHeader header;
-    std::memcpy(&header, data, sizeof(header));
-    if (header.magic != kMagic)
-        return refuse(error, "not a specfetch snapshot (bad magic)");
-    if (header.version != kVersion) {
-        return refuse(error, "unsupported snapshot version " +
-                                 std::to_string(header.version) +
-                                 " (want " + std::to_string(kVersion) +
-                                 ")");
-    }
-    size_t payload = size - sizeof(header);
-    if (payload % sizeof(ControlRecord) != 0 ||
-        payload / sizeof(ControlRecord) != header.recordCount) {
-        return refuse(error,
-                      "truncated snapshot payload: header promises " +
-                          std::to_string(header.recordCount) +
-                          " records, payload holds " +
-                          std::to_string(payload / sizeof(ControlRecord)));
-    }
-
-    out.start = header.startPc;
-    out.count = header.instructionCount;
-    out.hash = header.contentHash;
-    out.recs.resize(header.recordCount);
-    if (payload > 0)
-        std::memcpy(out.recs.data(), data + sizeof(header), payload);
-
-    std::string why;
-    if (!out.verify(&why)) {
-        out = TraceSnapshot{};
-        return refuse(error, "corrupt snapshot payload: " + why);
-    }
-    if (!out.validate(&why)) {
-        out = TraceSnapshot{};
-        return refuse(error, "structurally invalid snapshot: " + why);
-    }
-    return true;
-}
-
-void
 TraceSnapshot::corruptBitForTesting(size_t bitIndex)
 {
     panic_if(recs.empty(), "cannot corrupt an empty snapshot");
     size_t byte = (bitIndex / 8) % (recs.size() * sizeof(ControlRecord));
     uint8_t *bytes = reinterpret_cast<uint8_t *>(recs.data());
     bytes[byte] = static_cast<uint8_t>(bytes[byte] ^ (1u << (bitIndex % 8)));
+}
+
+SnapshotReplaySource::SnapshotReplaySource(InstructionSource &source,
+                                           uint64_t length)
+    : encoder(std::in_place, source, length),
+      chunk(std::make_unique<TraceSnapshot::ControlRecord[]>(kChunkRecords))
+{
+    if (refill())
+        loadRecord();
+    pc = encoder->startPc();
+}
+
+bool
+SnapshotReplaySource::refill()
+{
+    if (!encoder)
+        return false;
+    size_t got = encoder->encode(chunk.get(), kChunkRecords);
+    cur = chunk.get();
+    end = cur + got;
+    return got > 0;
 }
 
 } // namespace specfetch

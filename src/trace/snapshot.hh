@@ -1,7 +1,8 @@
 /**
  * @file
- * In-memory record-once/replay-many encoding of a workload's dynamic
- * correct-path stream (DESIGN.md §9).
+ * In-memory run-length encoding of a workload's dynamic correct-path
+ * stream, and the replay cursor that is the fetch engine's one
+ * production input (DESIGN.md §9).
  *
  * A sweep runs the same benchmark under many machine configurations,
  * and every one of those runs consumes the *identical* correct-path
@@ -24,8 +25,11 @@
 #ifndef SPECFETCH_TRACE_SNAPSHOT_HH_
 #define SPECFETCH_TRACE_SNAPSHOT_HH_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "isa/instruction.hh"
@@ -63,8 +67,8 @@ class TraceSnapshot
         /** Dynamic direction (always 1 for unconditional control). */
         uint8_t taken = 0;
         /** Explicit (always-zero) padding so the packed bytes are
-         *  fully defined and content hashing/serialization can treat
-         *  records as raw memory. */
+         *  fully defined and content hashing can treat records as raw
+         *  memory. */
         uint16_t pad = 0;
     };
     static_assert(sizeof(ControlRecord) == 16,
@@ -77,20 +81,12 @@ class TraceSnapshot
     static constexpr uint32_t kMaxPlainRun =
         std::numeric_limits<uint32_t>::max();
 
-    /** Serialized-form magic: 'SFSN' little-endian. */
-    static constexpr uint32_t kMagic = 0x4E534653;
-    /** Bump when the serialized layout changes incompatibly. */
-    static constexpr uint32_t kVersion = 1;
-
     TraceSnapshot() = default;
 
     /**
-     * Record up to @p length instructions from @p source.
-     *
-     * The source must produce a path-continuous stream (each pc equal
-     * to the previous instruction's nextPc()); anything else is a
-     * corrupted source and panics. @p max_plain_run exists for tests
-     * that exercise run chunking without billions of instructions.
+     * Record up to @p length instructions from @p source through a
+     * SnapshotEncoder. @p max_plain_run exists for tests that exercise
+     * run chunking without billions of instructions.
      */
     static TraceSnapshot record(InstructionSource &source, uint64_t length,
                                 uint32_t max_plain_run = kMaxPlainRun);
@@ -111,18 +107,11 @@ class TraceSnapshot
     const std::vector<ControlRecord> &records() const { return recs; }
 
     /**
-     * xxhash-style digest of the packed stream (plus start PC and
-     * instruction count), computed once by record(). A replayer that
-     * re-derives the digest and compares against this detects any
-     * in-memory bit flip of the shared snapshot.
-     */
-    uint64_t contentHash() const { return hash; }
-
-    /**
-     * Recompute the content digest and compare with the one record()
+     * Recompute the xxhash-style content digest (packed stream, start
+     * PC and instruction count) and compare with the one record()
      * stored. Returns false — never panics — on mismatch, naming the
      * expected/actual digests in @p error; the guarded sweep then
-     * falls back to live execution instead of replaying garbage.
+     * re-records a private stream instead of replaying garbage.
      */
     bool verify(std::string *error = nullptr) const;
 
@@ -133,24 +122,6 @@ class TraceSnapshot
      * that a correctly-rehashed mutation would not.
      */
     bool validate(std::string *error = nullptr) const;
-
-    /**
-     * Append the versioned serialized form to @p out: a header
-     * (magic, version, start PC, instruction count, record count,
-     * content digest) followed by the packed records. The digest
-     * covers the payload, so deserialize() refuses bit flips.
-     */
-    void serialize(std::vector<uint8_t> &out) const;
-
-    /**
-     * Parse a serialized snapshot. Refuses — returns false with a
-     * reason in @p error, never crashes — truncated input, wrong
-     * magic, unsupported versions, and payloads whose digest does not
-     * match the header.
-     */
-    static bool deserialize(const uint8_t *data, size_t size,
-                            TraceSnapshot &out,
-                            std::string *error = nullptr);
 
     /**
      * Fault-injection hook: flip one bit of the packed stream so
@@ -170,18 +141,59 @@ class TraceSnapshot
 };
 
 /**
- * Replay cursor over a TraceSnapshot. The class is final and next()
- * is defined inline so FetchEngine::runWith<SnapshotReplaySource>
- * statically binds and inlines the per-instruction source step — the
- * replay fast path is a decrement, three stores and an add.
+ * The one encoder of a correct-path InstructionSource into
+ * ControlRecords, chunk by chunk, behind both TraceSnapshot::record
+ * and the streaming SnapshotReplaySource. A path-discontinuous source
+ * (a pc other than the previous instruction's nextPc()) panics.
+ * Over-long plain runs are split into run-only records, and trailing
+ * plains end the stream (source exhausted or @p length reached) as a
+ * run-only record.
+ */
+class SnapshotEncoder
+{
+  public:
+    SnapshotEncoder(InstructionSource &source, uint64_t length,
+                    uint32_t max_plain_run = TraceSnapshot::kMaxPlainRun);
+
+    /** Encode up to @p capacity records into @p out; fewer only
+     *  once the stream has ended, 0 after its last record. */
+    size_t encode(TraceSnapshot::ControlRecord *out, size_t capacity);
+
+    uint64_t instructionCount() const { return count; }
+    /** PC of the first instruction (0 until one is consumed). */
+    Addr startPc() const { return start; }
+
+  private:
+    InstructionSource &source;
+    const uint64_t length;
+    const uint32_t maxPlainRun;
+    uint64_t count = 0;
+    uint32_t plainRun = 0;
+    Addr start = 0;
+    Addr expected = 0;
+    bool ended = false;
+};
+
+/**
+ * Replay cursor over ControlRecords, the engine's one production
+ * input. The class is final and next() is defined inline so
+ * FetchEngine::run(SnapshotReplaySource &) statically binds and
+ * inlines the per-instruction source step — the replay fast path is a
+ * decrement, three stores and an add.
  *
- * Unlike the live executor (which never exhausts), a replay source
- * ends with its snapshot; record at least the longest consumer's
- * (warmup + budget) instructions.
+ * Over a shared TraceSnapshot, replay ends with the snapshot: record
+ * at least the longest consumer's (warmup + budget) instructions.
+ * Over an InstructionSource, the cursor records the stream itself
+ * into a private 64 KiB chunk that it refills whenever it drains.
  */
 class SnapshotReplaySource final : public InstructionSource
 {
   public:
+    /** Records per streaming chunk. */
+    static constexpr size_t kChunkRecords = 4096;
+    static_assert(kChunkRecords * sizeof(TraceSnapshot::ControlRecord) ==
+                  64 * 1024);
+
     explicit SnapshotReplaySource(const TraceSnapshot &snapshot)
         : cur(snapshot.records().data()),
           end(cur + snapshot.records().size()), pc(snapshot.startPc())
@@ -190,11 +202,17 @@ class SnapshotReplaySource final : public InstructionSource
             loadRecord();
     }
 
+    /** Streaming form over the first @p length instructions of
+     *  @p source (borrowed; must outlive the cursor). */
+    explicit SnapshotReplaySource(
+        InstructionSource &source,
+        uint64_t length = std::numeric_limits<uint64_t>::max());
+
     /**
      * Bulk variant of next() for the engine's plain fast path:
      * consume up to @p max instructions of the pending plain run in
      * one call. Returns the count consumed (0 when the next record is
-     * a control instruction or the snapshot is exhausted) and the PC
+     * a control instruction or the stream is exhausted) and the PC
      * of the first consumed instruction in @p pc_out; the run is
      * contiguous from there at kInstBytes stride. Interleaves freely
      * with next() — consuming the same stream either way yields the
@@ -225,20 +243,17 @@ class SnapshotReplaySource final : public InstructionSource
             if (controlPending) {
                 controlPending = false;
                 // Direct cast, not classFromWire(): records never
-                // cross a process boundary, record() wrote a genuine
-                // InstClass, and this is the per-control hot path.
+                // cross a process boundary, the encoder wrote a
+                // genuine InstClass, and this is the per-control hot
+                // path.
                 out = DynInst{pc, static_cast<InstClass>(cur->cls),
                               cur->taken != 0, cur->target};
                 pc = cur->taken ? cur->target : pc + kInstBytes;
-                ++cur;
-                if (cur != end)
-                    loadRecord();
+                advance();
                 return true;
             }
             // A run-only record whose plains are drained: move on.
-            ++cur;
-            if (cur != end)
-                loadRecord();
+            advance();
         }
     }
 
@@ -250,11 +265,25 @@ class SnapshotReplaySource final : public InstructionSource
         controlPending = cur->cls != TraceSnapshot::kRunOnly;
     }
 
+    /** Step past the current record, refilling a drained chunk. */
+    void
+    advance()
+    {
+        if (++cur != end || refill())
+            loadRecord();
+    }
+
+    /** Encode the next chunk; false (cur == end) at the end. */
+    bool refill();
+
     const TraceSnapshot::ControlRecord *cur = nullptr;
     const TraceSnapshot::ControlRecord *end = nullptr;
     Addr pc = 0;
     uint32_t plainLeft = 0;
     bool controlPending = false;
+    /** Streaming form only. */
+    std::optional<SnapshotEncoder> encoder;
+    std::unique_ptr<TraceSnapshot::ControlRecord[]> chunk;
 };
 
 } // namespace specfetch

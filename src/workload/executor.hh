@@ -25,7 +25,7 @@
 namespace specfetch {
 
 /** Abstract source of the correct-path stream (executor, trace
- *  replay, or scripted test input). */
+ *  file, snapshot replay, or scripted test input). */
 class InstructionSource
 {
   public:
@@ -40,8 +40,8 @@ class InstructionSource
 };
 
 /**
- * CFG interpreter. Final so the engine's typed run loop
- * (FetchEngine::runWith) can statically bind next().
+ * CFG interpreter. Runs consume its stream through a
+ * SnapshotReplaySource (trace/snapshot.hh).
  */
 class Executor final : public InstructionSource
 {

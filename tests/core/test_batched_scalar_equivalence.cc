@@ -8,8 +8,8 @@
  * counter, penalty slot, epoch record, heatmap bucket and adaptive
  * choice must be bit-identical to the instruction-at-a-time path.
  * The scalar reference is obtained by replaying the same snapshot
- * through the InstructionSource base interface, which does not expose
- * takePlainRun, so the engine's run loop falls back to one next() per
+ * through the InstructionSource base interface, which selects the
+ * engine's scalar run(InstructionSource &) path: one next() per
  * instruction.
  */
 
@@ -44,7 +44,7 @@ runBatched(const ProgramImage &image, const SimConfig &config,
 {
     SnapshotReplaySource source(snap);
     FetchEngine engine(config, image);
-    SimResults results = engine.runWith(source);
+    SimResults results = engine.run(source);
     if (obs)
         engine.takeObservations(*obs);
     return results;
@@ -52,8 +52,9 @@ runBatched(const ProgramImage &image, const SimConfig &config,
 
 /**
  * Replay @p snap one instruction at a time. Erasing the source's
- * static type hides takePlainRun from the run loop's requires-clause,
- * so this exercises exactly the scalar fetchOne path.
+ * static type selects run(InstructionSource &), the scalar reference
+ * path, so this exercises exactly one next() and fetchOne() per
+ * instruction.
  */
 SimResults
 runScalar(const ProgramImage &image, const SimConfig &config,
@@ -62,7 +63,7 @@ runScalar(const ProgramImage &image, const SimConfig &config,
     SnapshotReplaySource source(snap);
     InstructionSource &erased = source;
     FetchEngine engine(config, image);
-    SimResults results = engine.runWith(erased);
+    SimResults results = engine.run(erased);
     if (obs)
         engine.takeObservations(*obs);
     return results;

@@ -1,17 +1,22 @@
 /**
  * @file
  * runSweep contract tests: serial and parallel sweeps must produce
- * identical results in submission order, timing capture must cover
- * every spec, and benchBudget must honour the SPECFETCH_BUDGET
- * environment variable (K/M/G suffixes, garbage rejected).
+ * identical results in submission order, shared and private streams
+ * must match the engine's scalar reference (also under the paranoid
+ * cross-check), timing capture must cover every spec, and benchBudget
+ * must honour the SPECFETCH_BUDGET environment variable (K/M/G
+ * suffixes, garbage rejected).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
+#include "core/fetch_engine.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
+#include "workload/executor.hh"
+#include "workload/registry.hh"
 
 using namespace specfetch;
 
@@ -76,7 +81,7 @@ TEST(Sweep, SnapshotReplayPathMatchesSingleRuns)
 {
     // Every benchmark here appears under three policies, so each
     // (benchmark, seed) stream has three consumers and the sweep
-    // records and replays it; runBenchmark always executes live.
+    // records and replays it; runBenchmark streams its own copy.
     std::vector<RunSpec> specs = smallGrid();
     std::vector<SimResults> swept = runSweep(specs, /*parallelism=*/2);
     ASSERT_EQ(swept.size(), specs.size());
@@ -85,7 +90,7 @@ TEST(Sweep, SnapshotReplayPathMatchesSingleRuns)
                   runBenchmark(specs[i].benchmark, specs[i].config))
             << "spec " << i << " (" << specs[i].benchmark << ", "
             << toString(specs[i].config.policy)
-            << "): replayed sweep diverged from a live run";
+            << "): replayed sweep diverged from a single run";
     }
 }
 
@@ -131,6 +136,47 @@ TEST(Sweep, MixedWarmupSharesTheLongestSnapshot)
         EXPECT_EQ(swept[i],
                   runBenchmark(specs[i].benchmark, specs[i].config))
             << "warmup " << specs[i].config.warmupInstructions;
+    }
+}
+
+TEST(Sweep, ParanoidSweepsMatchTheScalarReference)
+{
+    // Seeds 1 and 2 feed two specs per benchmark (a shared snapshot);
+    // seeds 3 and 4 feed one (a private chunk buffer per run). Both
+    // sweeps re-run every spec on the scalar path and panic on any
+    // divergence; the test then compares each run itself.
+    std::vector<RunSpec> specs;
+    for (const char *name : {"li", "gcc"}) {
+        for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+            SimConfig config;
+            config.instructionBudget = 30'000;
+            config.checkLevel = CheckLevel::Paranoid;
+            config.runSeed = seed;
+            config.policy = FetchPolicy::Resume;
+            specs.push_back(RunSpec{name, config});
+            if (seed <= 2) {
+                config.policy = FetchPolicy::Pessimistic;
+                config.nextLinePrefetch = true;
+                specs.push_back(RunSpec{name, config});
+            }
+        }
+    }
+
+    std::vector<SimResults> swept = runSweep(specs, /*parallelism=*/4);
+    SweepOutcome guarded =
+        runSweepGuarded(specs, SweepGuard{}, /*parallelism=*/4);
+    ASSERT_TRUE(guarded.allCompleted());
+    ASSERT_EQ(swept.size(), specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+        std::shared_ptr<const Workload> workload =
+            sharedWorkload(specs[i].benchmark);
+        Executor executor(workload->cfg, specs[i].config.runSeed);
+        FetchEngine engine(specs[i].config, workload->image);
+        SimResults reference = engine.run(executor);
+        reference.workload = specs[i].benchmark;
+        EXPECT_EQ(swept[i], reference) << "runSweep spec " << i;
+        EXPECT_EQ(guarded.results[i], reference)
+            << "runSweepGuarded spec " << i;
     }
 }
 

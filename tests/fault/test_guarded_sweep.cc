@@ -100,8 +100,9 @@ TEST(GuardedSweep, CorruptSnapshotDegradesToLiveExecution)
 {
     // Every benchmark has three consumers, so the sweep records shared
     // snapshots; corrupting run 0's copy must be *detected* (digest
-    // check) and degraded to live execution — same results, no crash,
-    // no retry consumed (the fallback happens within attempt 1).
+    // check) and degraded to a privately re-recorded stream — same
+    // results, no crash, no retry consumed (the fallback happens
+    // within attempt 1).
     std::vector<RunSpec> specs = smallGrid();
     FaultInjector injector;
     ASSERT_TRUE(FaultInjector::parse("corrupt@0", injector));

@@ -12,7 +12,7 @@
 #include "core/fetch_engine.hh"
 #include "trace/format.hh"
 #include "trace/reader.hh"
-#include "trace/replay_source.hh"
+#include "trace/snapshot.hh"
 #include "trace/writer.hh"
 #include "workload/executor.hh"
 #include "workload/registry.hh"
@@ -133,9 +133,9 @@ TEST_F(TraceRoundTrip, SimulationFromTraceMatchesLive)
     FetchEngine live_engine(config, w.image);
     SimResults live_results = live_engine.run(live);
 
-    // Replay run.
+    // Replay run: the trace reader feeds the streaming cursor.
     TraceReader reader(path);
-    ReplaySource replay(reader);
+    SnapshotReplaySource replay(reader);
     FetchEngine replay_engine(config, reader.image());
     SimResults replay_results = replay_engine.run(replay);
 

@@ -2,9 +2,11 @@
  * @file
  * TraceSnapshot record/replay contract tests. The load-bearing
  * property is bit-identity: a simulation fed by a SnapshotReplaySource
- * must produce *exactly* the SimResults of the same simulation fed by
- * the live executor, for every workload, policy, prefetch setting and
- * warmup — that equivalence is what lets runSweep record each
+ * — over a shared snapshot or streaming through its own chunk buffer —
+ * must produce *exactly* the SimResults of the engine's scalar
+ * reference path fed by the live executor, for every workload,
+ * policy, prefetch setting and warmup. That equivalence is what lets
+ * every run replay RLE records, and lets runSweep record each shared
  * correct-path stream once and replay it across a whole grid.
  */
 
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "check/check_level.hh"
+#include "core/fetch_engine.hh"
 #include "core/simulator.hh"
 #include "trace/snapshot.hh"
 #include "workload/executor.hh"
@@ -22,7 +25,9 @@
 namespace specfetch {
 namespace {
 
-constexpr uint64_t kBudget = 20'000;
+// Long enough that the streamed runs of most workloads refill their
+// 4096-record chunk at least once.
+constexpr uint64_t kBudget = 60'000;
 
 Workload
 smallWorkload()
@@ -35,17 +40,13 @@ smallWorkload()
     return buildWorkload(profile);
 }
 
-TEST(Snapshot, ReplayStreamMatchesLiveExecutor)
+/** Step @p replay against a fresh live executor for @p n
+ *  instructions, then require the replay to end. */
+void
+expectMatchesLive(const Workload &w, SnapshotReplaySource &replay,
+                  uint64_t n)
 {
-    Workload w = smallWorkload();
-    const uint64_t n = 50'000;
-
-    Executor recorder(w.cfg, 42);
-    TraceSnapshot snap = TraceSnapshot::record(recorder, n);
-    ASSERT_EQ(snap.instructionCount(), n);
-
     Executor live(w.cfg, 42);
-    SnapshotReplaySource replay(snap);
     DynInst expected, got;
     for (uint64_t i = 0; i < n; ++i) {
         ASSERT_TRUE(live.next(expected));
@@ -58,6 +59,59 @@ TEST(Snapshot, ReplayStreamMatchesLiveExecutor)
         }
     }
     EXPECT_FALSE(replay.next(got));
+}
+
+TEST(Snapshot, ReplayStreamMatchesLiveExecutor)
+{
+    /** The first @p limit instructions of a live executor. */
+    class FiniteSource : public InstructionSource
+    {
+      public:
+        FiniteSource(const Cfg &cfg, uint64_t _limit)
+            : executor(cfg, 42), limit(_limit)
+        {
+        }
+
+        bool
+        next(DynInst &out) override
+        {
+            if (emitted == limit)
+                return false;
+            ++emitted;
+            return executor.next(out);
+        }
+
+      private:
+        Executor executor;
+        uint64_t limit;
+        uint64_t emitted = 0;
+    };
+
+    Workload w = smallWorkload();
+    const uint64_t n = 50'003;    // three plains past a branch
+
+    Executor recorder(w.cfg, 42);
+    TraceSnapshot snap = TraceSnapshot::record(recorder, n);
+    ASSERT_EQ(snap.instructionCount(), n);
+    // The streaming cursors refill their chunk several times and end
+    // partway through one, on a run-only record of trailing plains.
+    const size_t chunk = SnapshotReplaySource::kChunkRecords;
+    ASSERT_GT(snap.records().size(), 2 * chunk);
+    ASSERT_NE(snap.records().size() % chunk, 0u);
+    ASSERT_EQ(snap.records().back().cls, TraceSnapshot::kRunOnly);
+
+    SnapshotReplaySource replay(snap);
+    expectMatchesLive(w, replay, n);
+
+    Executor source(w.cfg, 42);
+    SnapshotReplaySource streaming(source, n);
+    expectMatchesLive(w, streaming, n);
+
+    FiniteSource finite(w.cfg, n);
+    SnapshotReplaySource exhausting(finite);
+    expectMatchesLive(w, exhausting, n);
+    Addr pc = 0;
+    EXPECT_EQ(exhausting.takePlainRun(pc, 100), 0u);
 }
 
 TEST(Snapshot, EncodingIsCompact)
@@ -165,25 +219,47 @@ TEST(Snapshot, TakePlainRunInterleavesWithNext)
 
 TEST(SnapshotDeath, NonContinuousSourcePanics)
 {
-    /** A source whose second instruction teleports. */
+    /**
+     * A jump-to-self loop (one record per instruction) whose
+     * instruction @p teleportAt lands somewhere else.
+     */
     class BrokenSource : public InstructionSource
     {
       public:
+        explicit BrokenSource(uint64_t _teleportAt)
+            : teleportAt(_teleportAt)
+        {
+        }
+
         bool
         next(DynInst &out) override
         {
-            out = DynInst{count == 0 ? Addr{0x1000} : Addr{0x9000},
-                          InstClass::Plain, false, 0};
+            Addr pc = count == teleportAt ? Addr{0x9000} : Addr{0x1000};
+            out = DynInst{pc, InstClass::Jump, true, Addr{0x1000}};
             ++count;
             return true;
         }
 
       private:
-        int count = 0;
+        uint64_t teleportAt;
+        uint64_t count = 0;
     };
-    BrokenSource source;
+    BrokenSource source(1);
     EXPECT_DEATH(TraceSnapshot::record(source, 10),
                  "not path-continuous");
+
+    // The streaming cursor panics mid-replay, when the refill that
+    // reaches the discontinuity encodes it.
+    const uint64_t late = 2 * SnapshotReplaySource::kChunkRecords + 5;
+    EXPECT_DEATH(
+        {
+            BrokenSource broken(late);
+            SnapshotReplaySource streaming(broken);
+            DynInst inst;
+            for (uint64_t i = 0; i <= late; ++i)
+                streaming.next(inst);
+        },
+        "not path-continuous at instruction 8197");
 }
 
 TEST(SnapshotDeath, ZeroPlainRunLimitPanics)
@@ -195,12 +271,24 @@ TEST(SnapshotDeath, ZeroPlainRunLimitPanics)
 }
 
 /**
- * The headline guarantee, benchmark by benchmark: replayed simulation
- * results are bit-identical to live ones for every policy and
- * prefetch setting (the exact grid bench_suite sweeps).
+ * The headline guarantee, benchmark by benchmark: replayed and
+ * streamed simulation results are bit-identical to the scalar
+ * reference over a live executor for every policy and prefetch
+ * setting (the exact grid bench_suite sweeps).
  */
 class SnapshotEquivalence : public ::testing::TestWithParam<std::string>
 {};
+
+/** The engine's scalar reference path over a live executor. */
+SimResults
+runLive(const Workload &workload, const SimConfig &config)
+{
+    Executor executor(workload.cfg, config.runSeed);
+    FetchEngine engine(config, workload.image);
+    SimResults results = engine.run(executor);
+    results.workload = workload.profile.name;
+    return results;
+}
 
 TEST_P(SnapshotEquivalence, ReplayedRunsMatchLiveBitExactly)
 {
@@ -214,11 +302,15 @@ TEST_P(SnapshotEquivalence, ReplayedRunsMatchLiveBitExactly)
             config.policy = static_cast<FetchPolicy>(p);
             config.nextLinePrefetch = prefetch;
             config.instructionBudget = kBudget;
-            SimResults live = runSimulation(*workload, config);
+            SimResults live = runLive(*workload, config);
             SimResults replay = runSimulation(*workload, config, snap);
+            SimResults streamed = runSimulation(*workload, config);
             EXPECT_EQ(replay, live)
                 << GetParam() << ", " << toString(config.policy)
                 << (prefetch ? ", prefetch" : "");
+            EXPECT_EQ(streamed, live)
+                << GetParam() << ", " << toString(config.policy)
+                << (prefetch ? ", prefetch" : "") << ", streamed";
         }
     }
 }
@@ -236,9 +328,11 @@ TEST_P(SnapshotEquivalence, WarmupConsumesTheSnapshotPrefix)
     TraceSnapshot snap = TraceSnapshot::record(
         recorder, config.warmupInstructions + config.instructionBudget);
 
-    SimResults live = runSimulation(*workload, config);
+    SimResults live = runLive(*workload, config);
     SimResults replay = runSimulation(*workload, config, snap);
+    SimResults streamed = runSimulation(*workload, config);
     EXPECT_EQ(replay, live) << GetParam();
+    EXPECT_EQ(streamed, live) << GetParam() << ", streamed";
 }
 
 TEST_P(SnapshotEquivalence, ParanoidAuditPassesOverReplay)

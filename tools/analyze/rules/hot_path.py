@@ -60,8 +60,8 @@ class LoopAlloc(Rule):
 class LoopVirtual(Rule):
     rule_id = "loop-virtual"
     description = ("Virtual dispatch inside a hot per-instruction "
-                   "loop in src/core; hoist it or use the "
-                   "statically-bound path (FetchEngine::runWith).")
+                   "loop in src/core; hoist it or feed the engine a "
+                   "SnapshotReplaySource (the statically-bound path).")
 
     def run(self, project):
         virtual_names = project.virtual_names
@@ -95,8 +95,8 @@ class LoopVirtual(Rule):
                     findings.append(Finding(
                         self.rule_id, source.rel_path, t.line,
                         f"virtual dispatch of {t.text}() inside a hot "
-                        f"loop (hoist it or use the statically-bound "
-                        f"path)"))
+                        f"loop (hoist it or feed the engine a "
+                        f"SnapshotReplaySource)"))
         return findings
 
 
