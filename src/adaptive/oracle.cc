@@ -78,7 +78,8 @@ buildPerIntervalOracle(const std::vector<FetchPolicy> &policies,
     }
     oracle.oracleIspi = oracle.instructions == 0
         ? 0.0
-        : static_cast<double>(total_best) / oracle.instructions;
+        : static_cast<double>(total_best) /
+              static_cast<double>(oracle.instructions);
     return oracle;
 }
 

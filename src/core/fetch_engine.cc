@@ -1,6 +1,7 @@
 #include "core/fetch_engine.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "adaptive/selector.hh"
 #include "check/invariant.hh"
@@ -597,8 +598,12 @@ FetchEngine::runLoop(Source &source)
             break;
         // Snapshot replay exposes its plain runs in bulk; burn them
         // through the arithmetic-only fast path instead of one
-        // virtual-dispatch + decode round-trip per instruction.
-        if constexpr (requires(Addr &a) { source.takePlainRun(a, 1u); }) {
+        // virtual-dispatch + decode round-trip per instruction. Keyed
+        // on the concrete type, not on the method: every
+        // InstructionSource has takePlainRun, and the scalar reference
+        // run(InstructionSource &) must stay one next() per
+        // instruction.
+        if constexpr (std::is_same_v<Source, SnapshotReplaySource>) {
             Addr run_pc;
             // Cap the batch at the next epoch boundary so the sampler
             // snapshots at exact retired-instruction counts; with
@@ -607,6 +612,8 @@ FetchEngine::runLoop(Source &source)
             cap = std::min(cap, next_sample - stats.instructions);
             cap = std::min(cap, next_adaptive - stats.instructions);
             uint32_t batch = static_cast<uint32_t>(cap);
+            // Statically bound: SnapshotReplaySource is final.
+            // lint: allow(loop-virtual)
             uint32_t got = source.takePlainRun(run_pc, batch);
             if (got > 0) {
                 fetchPlainRun<P, PF>(run_pc, got);

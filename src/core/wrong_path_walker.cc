@@ -165,7 +165,7 @@ WrongPathWalker::walk(Addr start_pc, Slot from, Slot window_end,
             uint64_t step = std::min<uint64_t>(
                 {image.plainRunAt(wpc),
                  (cur_line + line_bytes - wpc) / kInstBytes,
-                 window_end - slot});
+                 static_cast<uint64_t>(window_end - slot)});
             wpc += step * kInstBytes;
             slot += step;
             continue;

@@ -85,8 +85,13 @@ Histogram::render(const std::string &name) const
         if (i == bins.size() - 1) {
             label = ">=" + std::to_string(i * width);
         } else {
-            label = "[" + std::to_string(i * width) + "," +
-                    std::to_string((i + 1) * width) + ")";
+            // Appended piecewise: gcc 12 at -O3 reports a false
+            // -Wrestrict on "[" + std::string&&, failing -Werror.
+            label = "[";
+            label += std::to_string(i * width);
+            label += ",";
+            label += std::to_string((i + 1) * width);
+            label += ")";
         }
         out += "  " + label + ": " + std::to_string(bins[i]) + "\n";
     }

@@ -1,5 +1,7 @@
 #include "trace/snapshot.hh"
 
+#include <algorithm>
+
 #include "util/checksum.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -32,7 +34,7 @@ SnapshotEncoder::encode(TraceSnapshot::ControlRecord *out, size_t capacity)
     size_t n = 0;
     DynInst inst;
     while (n < capacity) {
-        if (ended || count == length || !source.next(inst)) {
+        if (ended || count == length) {
             ended = true;
             if (plainRun > 0) {
                 out[n++] = ControlRecord{0, plainRun,
@@ -41,26 +43,45 @@ SnapshotEncoder::encode(TraceSnapshot::ControlRecord *out, size_t capacity)
             }
             break;
         }
+        // Take plains in bulk where the source can, capped so neither
+        // the length cut nor run chunking moves; next() covers control
+        // instructions and sources without a bulk step.
+        uint32_t room = static_cast<uint32_t>(std::min<uint64_t>(
+            length - count, maxPlainRun - plainRun));
+        Addr pc = 0;
+        uint32_t plains = source.takePlainRun(pc, room);
+        if (plains == 0) {
+            if (!source.next(inst)) {
+                ended = true;
+                continue;
+            }
+            pc = inst.pc;
+            plains = inst.cls == InstClass::Plain ? 1 : 0;
+        }
+        // One continuity check per plain run or control instruction.
         if (count == 0) {
-            start = inst.pc;
+            start = pc;
         } else {
-            panic_if(inst.pc != expected,
+            panic_if(pc != expected,
                      "snapshot source is not path-continuous at "
                      "instruction %llu: pc %llx, expected %llx",
                      static_cast<unsigned long long>(count),
-                     static_cast<unsigned long long>(inst.pc),
+                     static_cast<unsigned long long>(pc),
                      static_cast<unsigned long long>(expected));
         }
-        expected = inst.nextPc();
-        ++count;
 
-        if (inst.cls == InstClass::Plain) {
-            if (++plainRun == maxPlainRun) {
+        if (plains > 0) {
+            count += plains;
+            expected = pc + static_cast<Addr>(plains) * kInstBytes;
+            plainRun += plains;
+            if (plainRun == maxPlainRun) {
                 out[n++] = ControlRecord{0, maxPlainRun,
                                          TraceSnapshot::kRunOnly, 0, 0};
                 plainRun = 0;
             }
         } else {
+            ++count;
+            expected = inst.nextPc();
             out[n++] = ControlRecord{
                 inst.target, plainRun, wireClass(inst.cls),
                 static_cast<uint8_t>(inst.taken ? 1 : 0), 0};

@@ -143,11 +143,14 @@ class TraceSnapshot
 /**
  * The one encoder of a correct-path InstructionSource into
  * ControlRecords, chunk by chunk, behind both TraceSnapshot::record
- * and the streaming SnapshotReplaySource. A path-discontinuous source
- * (a pc other than the previous instruction's nextPc()) panics.
- * Over-long plain runs are split into run-only records, and trailing
- * plains end the stream (source exhausted or @p length reached) as a
- * run-only record.
+ * and the streaming SnapshotReplaySource. Plain instructions are taken
+ * through the source's bulk step (a whole block body per call from an
+ * Executor) and everything else through next(), in one loop; the
+ * records are the same either way. A path-discontinuous source (an
+ * instruction or plain run starting anywhere but the previous
+ * instruction's nextPc()) panics. Over-long plain runs are split into
+ * run-only records, and trailing plains end the stream (source
+ * exhausted or @p length reached) as a run-only record.
  */
 class SnapshotEncoder
 {
@@ -209,17 +212,13 @@ class SnapshotReplaySource final : public InstructionSource
         uint64_t length = std::numeric_limits<uint64_t>::max());
 
     /**
-     * Bulk variant of next() for the engine's plain fast path:
-     * consume up to @p max instructions of the pending plain run in
-     * one call. Returns the count consumed (0 when the next record is
-     * a control instruction or the stream is exhausted) and the PC
-     * of the first consumed instruction in @p pc_out; the run is
-     * contiguous from there at kInstBytes stride. Interleaves freely
-     * with next() — consuming the same stream either way yields the
-     * same instructions.
+     * The engine's plain fast path (InstructionSource::takePlainRun):
+     * consume up to @p max instructions of the pending plain run; 0
+     * when the next record is a control instruction or the stream is
+     * exhausted.
      */
     uint32_t
-    takePlainRun(Addr &pc_out, uint32_t max)
+    takePlainRun(Addr &pc_out, uint32_t max) override
     {
         uint32_t n = plainLeft < max ? plainLeft : max;
         pc_out = pc;

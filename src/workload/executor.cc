@@ -1,5 +1,6 @@
 #include "workload/executor.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -147,6 +148,31 @@ Executor::next(DynInst &out)
 
     instInBlock = 0;
     return true;
+}
+
+uint32_t
+Executor::takePlainRun(Addr &pc_out, uint32_t max)
+{
+    const BasicBlock *block = &cfg.blocks[curBlock];
+    pc_out = block->startAddr + static_cast<Addr>(instInBlock) * kInstBytes;
+    uint32_t taken = 0;
+    while (taken < max && instInBlock < block->bodyLen) {
+        if (instInBlock == 0)
+            ++visits[curBlock];
+        uint32_t n = std::min(block->bodyLen - instInBlock, max - taken);
+        instInBlock += n;
+        taken += n;
+        if (instInBlock < block->bodyLen ||
+            block->term != TermKind::FallThrough)
+            break;
+        // layoutProgram places blocks back to back in id order, so a
+        // fall-through successor continues the run contiguously.
+        curBlock = block->id + 1;
+        instInBlock = 0;
+        block = &cfg.blocks[curBlock];
+    }
+    instructions += taken;
+    return taken;
 }
 
 double

@@ -1,7 +1,9 @@
 /**
  * @file
  * The architectural executor: walks the CFG and produces the dynamic
- * correct-path instruction stream, one DynInst at a time.
+ * correct-path instruction stream, either one DynInst at a time
+ * (next()) or, for the plain bodies of basic blocks, a whole run of
+ * sequential instructions per call (takePlainRun()).
  *
  * This plays the role ATOM-instrumented execution plays in the paper:
  * it defines ground truth — where the program really goes — against
@@ -24,8 +26,12 @@
 
 namespace specfetch {
 
-/** Abstract source of the correct-path stream (executor, trace
- *  file, snapshot replay, or scripted test input). */
+/**
+ * Abstract source of the correct-path stream (executor, trace file,
+ * snapshot replay, or scripted test input). next() is the whole
+ * contract; takePlainRun() is an optional bulk step over plain
+ * instructions that the snapshot encoder tries first.
+ */
 class InstructionSource
 {
   public:
@@ -37,6 +43,18 @@ class InstructionSource
      *         is; trace replay and test scripts are).
      */
     virtual bool next(DynInst &out) = 0;
+
+    /**
+     * Bulk variant of next(): consume up to @p max of the plain
+     * instructions that come next in one call. Returns the count
+     * consumed and the PC of the first in @p pc_out; the run is
+     * contiguous from there at kInstBytes stride. 0 means "use
+     * next()": the next instruction is control flow, the stream is
+     * exhausted, or — the default — the source has no bulk step.
+     * Interleaves freely with next(): consuming a stream either way
+     * yields the same instructions.
+     */
+    virtual uint32_t takePlainRun(Addr &, uint32_t) { return 0; }
 };
 
 /**
@@ -55,6 +73,14 @@ class Executor final : public InstructionSource
 
     /** Always returns true: the synthetic program runs forever. */
     bool next(DynInst &out) override;
+
+    /**
+     * Hand out the rest of the current block body, continuing through
+     * FallThrough successors (laid out back to back), up to @p max
+     * instructions. Updates the dynamic-mix counters and
+     * blockVisits() exactly as the same number of next() calls would.
+     */
+    uint32_t takePlainRun(Addr &pc_out, uint32_t max) override;
 
     /** @name Dynamic-mix statistics @{ */
     Counter instructions;       ///< everything emitted

@@ -339,5 +339,58 @@ TEST(BatchedScalar, BudgetCutsBatchMidRun)
     }
 }
 
+/**
+ * The scalar reference must stay scalar: run(InstructionSource &)
+ * never takes a bulk step, even though every InstructionSource has
+ * takePlainRun(). Only the concrete SnapshotReplaySource batches, and
+ * its stream, recorded through the executor's bulk step, gives the
+ * same results.
+ */
+TEST(BatchedScalar, ScalarReferenceNeverTakesPlainRuns)
+{
+    /** An executor that counts the bulk steps asked of it. */
+    class CountingSource : public InstructionSource
+    {
+      public:
+        CountingSource(const Cfg &cfg, uint64_t seed) : executor(cfg, seed)
+        {
+        }
+
+        bool next(DynInst &out) override { return executor.next(out); }
+
+        uint32_t
+        takePlainRun(Addr &pc_out, uint32_t max) override
+        {
+            ++bulkCalls;
+            return executor.takePlainRun(pc_out, max);
+        }
+
+        uint64_t bulkCalls = 0;
+
+      private:
+        Executor executor;
+    };
+
+    for (const std::string &name : benchmarkNames()) {
+        const Workload &w = *sharedWorkload(name);
+        SimConfig config;
+        config.policy = FetchPolicy::Resume;
+        config.instructionBudget = kBudget;
+        config.prefetchKind = PrefetchKind::NextLine;
+
+        CountingSource live(w.cfg, config.runSeed);
+        FetchEngine scalar_engine(config, w.image);
+        SimResults scalar = scalar_engine.run(live);
+        EXPECT_EQ(live.bulkCalls, 0u) << name;
+
+        CountingSource recorded(w.cfg, config.runSeed);
+        SnapshotReplaySource streaming(recorded);
+        FetchEngine batched_engine(config, w.image);
+        SimResults batched = batched_engine.run(streaming);
+        EXPECT_GT(recorded.bulkCalls, 0u) << name;
+        EXPECT_EQ(batched, scalar) << name;
+    }
+}
+
 } // namespace
 } // namespace specfetch

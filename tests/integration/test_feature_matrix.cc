@@ -91,9 +91,15 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range(0, 4),    // prefetch kind
                        ::testing::Range(0, 4)),   // memory features
     [](const auto &param_info) {
-        return "p" + std::to_string(std::get<0>(param_info.param)) + "_pf" +
-               std::to_string(std::get<1>(param_info.param)) + "_m" +
-               std::to_string(std::get<2>(param_info.param));
+        // Appended piecewise: gcc 12 at -O3 reports a false
+        // -Wrestrict on "p" + std::string&&, failing -Werror.
+        std::string name = "p";
+        name += std::to_string(std::get<0>(param_info.param));
+        name += "_pf";
+        name += std::to_string(std::get<1>(param_info.param));
+        name += "_m";
+        name += std::to_string(std::get<2>(param_info.param));
+        return name;
     });
 
 TEST(FeatureMatrix, ReorderedWorkloadComposesWithEverything)

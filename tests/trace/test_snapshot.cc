@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "check/check_level.hh"
@@ -61,32 +64,34 @@ expectMatchesLive(const Workload &w, SnapshotReplaySource &replay,
     EXPECT_FALSE(replay.next(got));
 }
 
+/** The first @p limit instructions of a live executor, forwarded
+ *  through next() only (the base class's takePlainRun() says "use
+ *  next()"). */
+class FiniteSource : public InstructionSource
+{
+  public:
+    FiniteSource(const Cfg &cfg, uint64_t _limit)
+        : executor(cfg, 42), limit(_limit)
+    {
+    }
+
+    bool
+    next(DynInst &out) override
+    {
+        if (emitted == limit)
+            return false;
+        ++emitted;
+        return executor.next(out);
+    }
+
+  private:
+    Executor executor;
+    uint64_t limit;
+    uint64_t emitted = 0;
+};
+
 TEST(Snapshot, ReplayStreamMatchesLiveExecutor)
 {
-    /** The first @p limit instructions of a live executor. */
-    class FiniteSource : public InstructionSource
-    {
-      public:
-        FiniteSource(const Cfg &cfg, uint64_t _limit)
-            : executor(cfg, 42), limit(_limit)
-        {
-        }
-
-        bool
-        next(DynInst &out) override
-        {
-            if (emitted == limit)
-                return false;
-            ++emitted;
-            return executor.next(out);
-        }
-
-      private:
-        Executor executor;
-        uint64_t limit;
-        uint64_t emitted = 0;
-    };
-
     Workload w = smallWorkload();
     const uint64_t n = 50'003;    // three plains past a branch
 
@@ -180,6 +185,63 @@ TEST(Snapshot, ChunkedPlainRunsReplayIdentically)
     EXPECT_FALSE(rhs.next(y));
 }
 
+TEST(Snapshot, BulkRecordingMatchesScalarRecording)
+{
+    // The encoder takes an executor's plains a block body at a time;
+    // a next()-only source must yield the very same records, under
+    // run chunking and with the length cut partway through a block.
+    const uint64_t unlimited = std::numeric_limits<uint64_t>::max();
+    for (const std::string &name : benchmarkNames()) {
+        const Workload &w = *sharedWorkload(name);
+        auto inOneBody = [&w](Addr pc) {
+            for (const BasicBlock &block : w.cfg.blocks) {
+                Addr body_end =
+                    block.startAddr + Addr(block.bodyLen) * kInstBytes;
+                if (pc >= block.startAddr && pc + kInstBytes < body_end)
+                    return true;
+            }
+            return false;
+        };
+        // The first length >= 20K whose last instruction and the one
+        // after it are plains of the same block body.
+        Executor probe(w.cfg, 42);
+        DynInst last, after;
+        uint64_t length = 20'000;
+        for (uint64_t i = 0; i < length; ++i)
+            probe.next(last);
+        probe.next(after);
+        while (last.cls != InstClass::Plain ||
+               after.cls != InstClass::Plain || !inOneBody(last.pc)) {
+            last = after;
+            probe.next(after);
+            ++length;
+        }
+
+        for (uint32_t max_plain_run : {3u, 7u, TraceSnapshot::kMaxPlainRun}) {
+            Executor bulk_source(w.cfg, 42);
+            FiniteSource scalar_source(w.cfg, unlimited);
+            TraceSnapshot bulk =
+                TraceSnapshot::record(bulk_source, length, max_plain_run);
+            TraceSnapshot scalar =
+                TraceSnapshot::record(scalar_source, length, max_plain_run);
+            EXPECT_EQ(bulk.instructionCount(), length) << name;
+            EXPECT_EQ(bulk.instructionCount(), scalar.instructionCount());
+            EXPECT_EQ(bulk.startPc(), scalar.startPc()) << name;
+            ASSERT_EQ(bulk.records().size(), scalar.records().size())
+                << name << " max_plain_run " << max_plain_run;
+            EXPECT_EQ(std::memcmp(bulk.records().data(),
+                                  scalar.records().data(),
+                                  bulk.byteSize()),
+                      0)
+                << name << " max_plain_run " << max_plain_run;
+            EXPECT_EQ(bulk.records().back().cls, TraceSnapshot::kRunOnly);
+            EXPECT_TRUE(bulk.verify()) << name;
+            EXPECT_TRUE(scalar.verify()) << name;
+            EXPECT_TRUE(bulk.validate()) << name;
+        }
+    }
+}
+
 TEST(Snapshot, TakePlainRunInterleavesWithNext)
 {
     Workload w = smallWorkload();
@@ -260,6 +322,60 @@ TEST(SnapshotDeath, NonContinuousSourcePanics)
                 streaming.next(inst);
         },
         "not path-continuous at instruction 8197");
+
+    /**
+     * Four plains and a jump back to them, the plains handed out in
+     * bulk; bulk run @p teleportAt starts somewhere else.
+     */
+    class BrokenBulkSource : public InstructionSource
+    {
+      public:
+        explicit BrokenBulkSource(uint64_t _teleportAt)
+            : teleportAt(_teleportAt)
+        {
+        }
+
+        uint32_t
+        takePlainRun(Addr &pc_out, uint32_t max) override
+        {
+            uint32_t n = std::min(4 - pos, max);
+            pc_out = runs == teleportAt ? Addr{0x9000}
+                                        : Addr{0x1000} + pos * kInstBytes;
+            if (pos == 0)
+                ++runs;
+            pos += n;
+            return n;
+        }
+
+        /** Reached only once the plains were all taken in bulk. */
+        bool
+        next(DynInst &out) override
+        {
+            out = DynInst{0x1010, InstClass::Jump, true, 0x1000};
+            pos = 0;
+            return true;
+        }
+
+      private:
+        uint64_t teleportAt;
+        uint64_t runs = 0;
+        uint32_t pos = 0;
+    };
+    BrokenBulkSource bulk_source(1);
+    EXPECT_DEATH(TraceSnapshot::record(bulk_source, 100),
+                 "not path-continuous at instruction 5: pc 9000");
+
+    // Each loop trip is one record, so bulk run 8197 sits in the
+    // third chunk and starts at instruction 5 * 8197.
+    EXPECT_DEATH(
+        {
+            BrokenBulkSource broken(late);
+            SnapshotReplaySource streaming(broken);
+            DynInst inst;
+            for (uint64_t i = 0; i <= 5 * late; ++i)
+                streaming.next(inst);
+        },
+        "not path-continuous at instruction 40985: pc 9000");
 }
 
 TEST(SnapshotDeath, ZeroPlainRunLimitPanics)

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "util/random.hh"
 #include "workload/cfg_builder.hh"
 #include "workload/layout.hh"
+#include "workload/registry.hh"
 #include "workload/workload.hh"
 
 namespace specfetch {
@@ -112,6 +114,75 @@ TEST(Executor, CountsAreConsistent)
     EXPECT_EQ(executor.condBranches.value(), cond);
     EXPECT_GT(executor.branchFraction(), 0.0);
     EXPECT_LT(executor.branchFraction(), 1.0);
+}
+
+TEST(Executor, BulkPlainRunsMatchScalarSteps)
+{
+    // One executor steps through interleaved takePlainRun(max) and
+    // next() calls, the other through next() alone: the instruction
+    // streams, the dynamic-mix counters and the block visit counts
+    // must agree on every paper profile.
+    const uint64_t n = 200'000;
+    for (const std::string &name : benchmarkNames()) {
+        const Workload &w = *sharedWorkload(name);
+        Executor bulk(w.cfg, 42);
+        Executor scalar(w.cfg, 42);
+        Rng rng(11);
+        DynInst expected, got;
+        uint64_t seen = 0;
+        uint64_t cut_runs = 0;   // a full run with plains right behind
+        bool last_run_full = false;
+        while (seen < n) {
+            bool try_bulk = rng.nextBool(0.75);
+            uint32_t max =
+                static_cast<uint32_t>(std::min<uint64_t>(
+                    rng.nextBelow(64) + 1, n - seen));
+            Addr run_pc = 0;
+            uint32_t run = try_bulk ? bulk.takePlainRun(run_pc, max) : 0;
+            if (run > 0) {
+                ASSERT_LE(run, max) << name;
+                for (uint32_t i = 0; i < run; ++i) {
+                    ASSERT_TRUE(scalar.next(expected));
+                    ASSERT_EQ(expected.cls, InstClass::Plain)
+                        << name << " instruction " << seen + i;
+                    ASSERT_EQ(expected.pc, run_pc + Addr(i) * kInstBytes)
+                        << name << " instruction " << seen + i;
+                }
+                cut_runs += last_run_full;
+                last_run_full = run == max;
+                seen += run;
+                continue;
+            }
+            ASSERT_TRUE(bulk.next(got));
+            ASSERT_TRUE(scalar.next(expected));
+            // A bulk step only comes back empty before control flow.
+            if (try_bulk) {
+                ASSERT_TRUE(isControl(expected.cls))
+                    << name << " instruction " << seen;
+            }
+            ASSERT_EQ(got.pc, expected.pc) << name << " instruction " << seen;
+            ASSERT_EQ(got.cls, expected.cls) << name << " instruction " << seen;
+            ASSERT_EQ(got.taken, expected.taken)
+                << name << " instruction " << seen;
+            ASSERT_EQ(got.target, expected.target)
+                << name << " instruction " << seen;
+            cut_runs += last_run_full && got.cls == InstClass::Plain;
+            last_run_full = false;
+            ++seen;
+        }
+        // Some runs stopped at max with the block body still going.
+        EXPECT_GT(cut_runs, 0u) << name;
+        EXPECT_EQ(bulk.instructions.value(), n) << name;
+        EXPECT_EQ(bulk.instructions.value(), scalar.instructions.value());
+        EXPECT_EQ(bulk.controlInsts.value(), scalar.controlInsts.value());
+        EXPECT_EQ(bulk.condBranches.value(), scalar.condBranches.value());
+        EXPECT_EQ(bulk.condTaken.value(), scalar.condTaken.value());
+        EXPECT_EQ(bulk.calls.value(), scalar.calls.value());
+        EXPECT_EQ(bulk.returns.value(), scalar.returns.value());
+        EXPECT_EQ(bulk.indirectJumps.value(), scalar.indirectJumps.value());
+        EXPECT_EQ(bulk.indirectCalls.value(), scalar.indirectCalls.value());
+        EXPECT_EQ(bulk.blockVisits(), scalar.blockVisits()) << name;
+    }
 }
 
 TEST(Executor, CallsAndReturnsBalance)
