@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -68,77 +69,191 @@ parallelFor(size_t count, unsigned workers,
         thread.join();
 }
 
+unsigned
+resolveWorkers(unsigned parallelism)
+{
+    return parallelism != 0
+        ? parallelism
+        : std::max(1u, std::thread::hardware_concurrency());
+}
+
 /** Identity of one correct-path stream: program + dynamic seed. */
 using StreamKey = std::pair<std::string, uint64_t>;
 
-/** The work every sweep hoists out of its per-spec runs. */
-struct SweepShared
+using WorkloadMap =
+    std::map<std::string, std::shared_ptr<const Workload>>;
+
+/** One correct-path stream of a sweep and the specs that consume it. */
+struct SweepStream
 {
-    std::map<std::string, std::shared_ptr<const Workload>> workloads;
-    std::map<StreamKey, std::shared_ptr<const TraceSnapshot>> snapshots;
+    const Workload *workload = nullptr;
+    uint64_t seed = 0;
+    /** The hungriest consumer's streamInstructions(). */
+    uint64_t length = 0;
+    /** Consuming spec indices, in submission order. */
+    std::vector<size_t> consumers;
+    /** Recorded once and replayed by every consumer. */
+    bool shared = false;
+
+    /** @name Shared streams only; guarded by the schedule's mutex @{ */
+    std::unique_ptr<const TraceSnapshot> snapshot;
+    bool published = false;
+    /** Consumers that have not finished yet. */
+    size_t pending = 0;
+    /** @} */
 };
 
-/**
- * Build the distinct workloads and record the shared correct-path
- * snapshots (record-once/replay-many; see runSweep's contract).
- */
-SweepShared
-prepareShared(const std::vector<RunSpec> &specs, unsigned workers,
-              SweepTiming *timing, SweepClock::time_point sweepStart)
+/** One claimable unit of work: record a stream, or run a spec of it. */
+struct SweepTask
 {
-    SweepShared shared;
+    bool record = false;
+    size_t stream = 0;
+    /** Spec index; unused when recording. */
+    size_t spec = 0;
+};
 
+/** Executes spec @p index; @p snapshot is null for a private stream. */
+using RunFn = std::function<void(size_t index, const Workload &workload,
+                                 const TraceSnapshot *snapshot)>;
+
+/**
+ * The one task schedule behind both sweep entry points. Specs are
+ * grouped by (benchmark, runSeed) stream in first-use order, and the
+ * tasks are rec(0), rec(1), runs(0), rec(2), runs(1), ...: each
+ * shared stream is recorded while the previous stream's runs are
+ * claimed, just ahead of its own (streams of one consumer, or longer
+ * than kSweepSnapshotMaxInstructions, are private and have no
+ * recording). Workers claim tasks in order; a run of a shared stream
+ * waits until its recording is published, and the last consumer to
+ * finish drops the snapshot. At any moment at most two streams still
+ * have unclaimed runs and every other live stream has a run in
+ * flight, so at most workers + 2 snapshots are alive.
+ *
+ * Resets and fills @p timing (all but perRunSeconds' entries, which
+ * @p run owns) and returns the sweep's workloads.
+ */
+WorkloadMap
+runStreamMajor(const std::vector<RunSpec> &specs, unsigned parallelism,
+               SweepTiming *timing, const RunFn &run)
+{
+    SweepClock::time_point sweepStart = SweepClock::now();
+    if (timing) {
+        *timing = SweepTiming{};
+        timing->perRunSeconds.assign(specs.size(), 0.0);
+    }
     // Fetch each distinct workload once (process-wide memoized store);
     // runs only read them.
+    WorkloadMap workloads;
     {
         TraceSpan span("workload_build", "sweep");
         for (const RunSpec &spec : specs) {
-            if (!shared.workloads.count(spec.benchmark))
-                shared.workloads[spec.benchmark] =
-                    sharedWorkload(spec.benchmark);
+            if (!workloads.count(spec.benchmark))
+                workloads[spec.benchmark] = sharedWorkload(spec.benchmark);
         }
     }
     if (timing)
         timing->workloadBuildSeconds = secondsSince(sweepStart);
 
-    // Record-once/replay-many: every spec sharing (benchmark, seed)
-    // consumes the identical correct-path stream, so record it in one
-    // executor pass — long enough for the hungriest consumer — and
-    // replay it across all of them. The consumer count only decides
-    // where records live: a run of any other stream records its own.
-    SweepClock::time_point recordStart = SweepClock::now();
-    std::map<StreamKey, uint64_t> streamLength;
-    std::map<StreamKey, size_t> streamUses;
-    for (const RunSpec &spec : specs) {
-        StreamKey key{spec.benchmark, spec.config.runSeed};
-        streamLength[key] =
-            std::max(streamLength[key], spec.config.streamInstructions());
-        ++streamUses[key];
-    }
-    std::vector<std::pair<StreamKey, uint64_t>> toRecord;
-    for (const auto &[key, length] : streamLength) {
-        if (streamUses.at(key) >= 2 &&
-            length <= kSweepSnapshotMaxInstructions) {
-            toRecord.emplace_back(key, length);
+    std::vector<SweepStream> streams;
+    {
+        std::map<StreamKey, size_t> byKey;
+        for (size_t i = 0; i < specs.size(); ++i) {
+            const RunSpec &spec = specs[i];
+            auto [it, fresh] = byKey.try_emplace(
+                StreamKey{spec.benchmark, spec.config.runSeed},
+                streams.size());
+            if (fresh) {
+                streams.emplace_back();
+                streams.back().workload =
+                    workloads.at(spec.benchmark).get();
+                streams.back().seed = spec.config.runSeed;
+            }
+            SweepStream &stream = streams[it->second];
+            stream.length = std::max(stream.length,
+                                     spec.config.streamInstructions());
+            stream.consumers.push_back(i);
         }
     }
-    std::vector<std::shared_ptr<const TraceSnapshot>> recorded(
-        toRecord.size());
-    // SPECFETCH-ALLOW(error-boundary): pre-recording failures abort before any run starts; nothing to quarantine yet
-    parallelFor(toRecord.size(), workers, [&](size_t i) {
-        const auto &[key, length] = toRecord[i];
-        TraceSpan span("snapshot_record", "sweep", key.first);
-        Executor executor(shared.workloads.at(key.first)->cfg, key.second);
-        // lint: allow(loop-alloc) one allocation per distinct stream
-        recorded[i] = std::make_shared<const TraceSnapshot>(
-            TraceSnapshot::record(executor, length));
-    });
-    for (size_t i = 0; i < toRecord.size(); ++i)
-        shared.snapshots.emplace(toRecord[i].first, recorded[i]);
-    if (timing)
-        timing->snapshotRecordSeconds = secondsSince(recordStart);
+    for (SweepStream &stream : streams) {
+        stream.shared = stream.consumers.size() >= 2 &&
+            stream.length <= kSweepSnapshotMaxInstructions;
+        stream.pending = stream.consumers.size();
+    }
 
-    return shared;
+    std::vector<SweepTask> tasks;
+    tasks.reserve(specs.size() + streams.size());
+    auto recordAhead = [&](size_t s) {
+        if (s < streams.size() && streams[s].shared)
+            tasks.push_back(SweepTask{true, s, 0});
+    };
+    recordAhead(0);
+    for (size_t s = 0; s < streams.size(); ++s) {
+        recordAhead(s + 1);
+        for (size_t spec : streams[s].consumers)
+            tasks.push_back(SweepTask{false, s, spec});
+    }
+
+    std::mutex mutex;
+    std::condition_variable publishedCv;
+    size_t live = 0;
+    size_t peakLive = 0;
+    std::vector<double> recordSeconds(streams.size(), 0.0);
+
+    SweepClock::time_point runStart = SweepClock::now();
+    // SPECFETCH-ALLOW(error-boundary): a failed recording aborts the sweep by design, so no run is left waiting on it; each run's boundary is the caller's RunFn (none for runSweep, runOneGuarded's for runSweepGuarded)
+    parallelFor(tasks.size(), resolveWorkers(parallelism), [&](size_t t) {
+        const SweepTask &task = tasks[t];
+        SweepStream &stream = streams[task.stream];
+        if (task.record) {
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                peakLive = std::max(peakLive, ++live);
+            }
+            SweepClock::time_point start = SweepClock::now();
+            TraceSpan span("snapshot_record", "sweep",
+                           specs[stream.consumers.front()].benchmark);
+            Executor executor(stream.workload->cfg, stream.seed);
+            // lint: allow(loop-alloc) one allocation per shared stream
+            auto snapshot = std::make_unique<const TraceSnapshot>(
+                TraceSnapshot::record(executor, stream.length));
+            recordSeconds[task.stream] = secondsSince(start);
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                stream.snapshot = std::move(snapshot);
+                stream.published = true;
+            }
+            publishedCv.notify_all();
+            return;
+        }
+
+        if (!stream.shared) {
+            run(task.spec, *stream.workload, nullptr);
+            return;
+        }
+        const TraceSnapshot *snapshot = nullptr;
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            publishedCv.wait(lock, [&] { return stream.published; });
+            snapshot = stream.snapshot.get();
+        }
+        run(task.spec, *stream.workload, snapshot);
+        // Freed outside the lock, by the stream's last consumer.
+        std::unique_ptr<const TraceSnapshot> last;
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--stream.pending == 0) {
+            last = std::move(stream.snapshot);
+            --live;
+        }
+    });
+
+    if (timing) {
+        timing->runSeconds = secondsSince(runStart);
+        timing->totalSeconds = secondsSince(sweepStart);
+        for (double seconds : recordSeconds)
+            timing->snapshotRecordSeconds += seconds;
+        timing->peakLiveSnapshots = peakLive;
+    }
+    return workloads;
 }
 
 /**
@@ -151,7 +266,7 @@ prepareShared(const std::vector<RunSpec> &specs, unsigned workers,
 void
 paranoidCrossValidate(const std::vector<RunSpec> &specs,
                       const std::vector<SimResults> &results,
-                      const SweepShared &shared,
+                      const WorkloadMap &workloads,
                       const std::vector<uint8_t> *completed)
 {
     bool paranoid =
@@ -167,7 +282,7 @@ paranoidCrossValidate(const std::vector<RunSpec> &specs,
         if (completed && !(*completed)[i])
             continue;
         checkedResults.push_back(results[i]);
-        const Workload &workload = *shared.workloads.at(specs[i].benchmark);
+        const Workload &workload = *workloads.at(specs[i].benchmark);
         Executor executor(workload.cfg, specs[i].config.runSeed);
         FetchEngine engine(specs[i].config, workload.image);
         SimResults reference = engine.run(executor);
@@ -191,14 +306,6 @@ runSpanDetail(const RunSpec &spec)
     if (!TraceEventSink::global().enabled())
         return {};
     return spec.benchmark + " " + toString(spec.config.policy);
-}
-
-unsigned
-resolveWorkers(unsigned parallelism)
-{
-    return parallelism != 0
-        ? parallelism
-        : std::max(1u, std::thread::hardware_concurrency());
 }
 
 /** Outcome of one guarded run. */
@@ -291,54 +398,38 @@ std::vector<SimResults>
 runSweep(const std::vector<RunSpec> &specs, unsigned parallelism,
          SweepTiming *timing, std::vector<RunObservations> *observations)
 {
-    SweepClock::time_point sweepStart = SweepClock::now();
-    if (timing) {
-        *timing = SweepTiming{};
-        timing->perRunSeconds.assign(specs.size(), 0.0);
-    }
     if (observations) {
         observations->clear();
         observations->resize(specs.size());
     }
-
-    unsigned workers = resolveWorkers(parallelism);
-    SweepShared shared = prepareShared(specs, workers, timing, sweepStart);
-
     std::vector<SimResults> results(specs.size());
 
-    SweepClock::time_point runStart = SweepClock::now();
-    // SPECFETCH-ALLOW(error-boundary): the plain sweep aborts on panic by contract; use runSweepGuarded to quarantine
-    parallelFor(specs.size(), workers, [&](size_t index) {
-        const RunSpec &spec = specs[index];
-        const Workload &workload = *shared.workloads.at(spec.benchmark);
-        TraceSpan span("simulate", "run", runSpanDetail(spec));
-        SweepClock::time_point start = SweepClock::now();
-        auto snap = shared.snapshots.find(
-            StreamKey{spec.benchmark, spec.config.runSeed});
-        // Each index is claimed by exactly one worker, so the per-run
-        // slots (results, timing, observations) need no
-        // synchronization.
-        if (observations) {
-            RunObservations &obs = (*observations)[index];
-            results[index] = snap != shared.snapshots.end()
-                ? runSimulation(workload, spec.config, *snap->second, obs)
-                : runSimulation(workload, spec.config, obs);
-        } else {
-            results[index] = snap != shared.snapshots.end()
-                ? runSimulation(workload, spec.config, *snap->second)
-                : runSimulation(workload, spec.config);
-        }
-        if (timing)
-            timing->perRunSeconds[index] = secondsSince(start);
-        ProgressReporter::global().runCompleted();
-    });
+    WorkloadMap workloads = runStreamMajor(
+        specs, parallelism, timing,
+        [&](size_t index, const Workload &workload,
+            const TraceSnapshot *snapshot) {
+            const RunSpec &spec = specs[index];
+            TraceSpan span("simulate", "run", runSpanDetail(spec));
+            SweepClock::time_point start = SweepClock::now();
+            // Each index is claimed by exactly one worker, so the
+            // per-run slots (results, timing, observations) need no
+            // synchronization.
+            if (observations) {
+                RunObservations &obs = (*observations)[index];
+                results[index] = snapshot
+                    ? runSimulation(workload, spec.config, *snapshot, obs)
+                    : runSimulation(workload, spec.config, obs);
+            } else {
+                results[index] = snapshot
+                    ? runSimulation(workload, spec.config, *snapshot)
+                    : runSimulation(workload, spec.config);
+            }
+            if (timing)
+                timing->perRunSeconds[index] = secondsSince(start);
+            ProgressReporter::global().runCompleted();
+        });
 
-    if (timing) {
-        timing->runSeconds = secondsSince(runStart);
-        timing->totalSeconds = secondsSince(sweepStart);
-    }
-
-    paranoidCrossValidate(specs, results, shared, nullptr);
+    paranoidCrossValidate(specs, results, workloads, nullptr);
     return results;
 }
 
@@ -346,60 +437,41 @@ SweepOutcome
 runSweepGuarded(const std::vector<RunSpec> &specs, const SweepGuard &guard,
                 unsigned parallelism, SweepTiming *timing)
 {
-    SweepClock::time_point sweepStart = SweepClock::now();
-    if (timing) {
-        *timing = SweepTiming{};
-        timing->perRunSeconds.assign(specs.size(), 0.0);
-    }
-
-    unsigned workers = resolveWorkers(parallelism);
-    SweepShared shared = prepareShared(specs, workers, timing, sweepStart);
-
     SweepOutcome outcome;
     outcome.results.resize(specs.size());
     outcome.completed.assign(specs.size(), 0);
     std::mutex failuresMutex;
 
-    SweepClock::time_point runStart = SweepClock::now();
-    // SPECFETCH-ALLOW(error-boundary): lookups cannot fail after prepareShared validated every spec; runs go through runOneGuarded
-    parallelFor(specs.size(), workers, [&](size_t index) {
-        const RunSpec &spec = specs[index];
-        const Workload &workload = *shared.workloads.at(spec.benchmark);
-        SweepClock::time_point start = SweepClock::now();
-        auto snap = shared.snapshots.find(
-            StreamKey{spec.benchmark, spec.config.runSeed});
-        const TraceSnapshot *snapshot =
-            snap != shared.snapshots.end() ? snap->second.get() : nullptr;
+    WorkloadMap workloads = runStreamMajor(
+        specs, parallelism, timing,
+        [&](size_t index, const Workload &workload,
+            const TraceSnapshot *snapshot) {
+            const RunSpec &spec = specs[index];
+            SweepClock::time_point start = SweepClock::now();
+            GuardedRun run =
+                runOneGuarded(workload, spec, snapshot, guard, index);
+            if (timing)
+                timing->perRunSeconds[index] = secondsSince(start);
 
-        GuardedRun run =
-            runOneGuarded(workload, spec, snapshot, guard, index);
-        if (timing)
-            timing->perRunSeconds[index] = secondsSince(start);
+            if (run.ok) {
+                outcome.results[index] = std::move(run.results);
+                outcome.completed[index] = 1;
+                if (guard.onRunComplete)
+                    guard.onRunComplete(index, outcome.results[index]);
+                ProgressReporter::global().runCompleted();
+                return;
+            }
+            ProgressReporter::global().runQuarantined();
 
-        if (run.ok) {
-            outcome.results[index] = std::move(run.results);
-            outcome.completed[index] = 1;
-            if (guard.onRunComplete)
-                guard.onRunComplete(index, outcome.results[index]);
-            ProgressReporter::global().runCompleted();
-            return;
-        }
-        ProgressReporter::global().runQuarantined();
-
-        SweepFailure failure;
-        failure.index = index;
-        failure.benchmark = spec.benchmark;
-        failure.config = spec.config.describe();
-        failure.cause = run.cause;
-        failure.attempts = std::max(1u, guard.maxAttempts);
-        std::lock_guard<std::mutex> lock(failuresMutex);
-        outcome.failures.push_back(std::move(failure));
-    });
-
-    if (timing) {
-        timing->runSeconds = secondsSince(runStart);
-        timing->totalSeconds = secondsSince(sweepStart);
-    }
+            SweepFailure failure;
+            failure.index = index;
+            failure.benchmark = spec.benchmark;
+            failure.config = spec.config.describe();
+            failure.cause = run.cause;
+            failure.attempts = std::max(1u, guard.maxAttempts);
+            std::lock_guard<std::mutex> lock(failuresMutex);
+            outcome.failures.push_back(std::move(failure));
+        });
 
     // Deterministic failure order regardless of worker interleaving.
     std::sort(outcome.failures.begin(), outcome.failures.end(),
@@ -407,26 +479,9 @@ runSweepGuarded(const std::vector<RunSpec> &specs, const SweepGuard &guard,
                   return a.index < b.index;
               });
 
-    paranoidCrossValidate(specs, outcome.results, shared,
+    paranoidCrossValidate(specs, outcome.results, workloads,
                           &outcome.completed);
     return outcome;
-}
-
-std::vector<SimResults>
-runPolicyGrid(const std::vector<std::string> &benchmarks,
-              const SimConfig &base,
-              const std::vector<FetchPolicy> &policies)
-{
-    std::vector<RunSpec> specs;
-    specs.reserve(benchmarks.size() * policies.size());
-    for (const std::string &benchmark : benchmarks) {
-        for (FetchPolicy policy : policies) {
-            RunSpec spec{benchmark, base};
-            spec.config.policy = policy;
-            specs.push_back(std::move(spec));
-        }
-    }
-    return runSweep(specs);
 }
 
 uint64_t

@@ -36,21 +36,29 @@ struct SweepTiming
 {
     /** Building the distinct workloads (shared across specs). */
     double workloadBuildSeconds = 0.0;
-    /** Recording the distinct correct-path snapshots (shared across
-     *  each benchmark's specs; see trace/snapshot.hh). */
+    /** Worker-seconds spent recording the shared correct-path
+     *  snapshots (see trace/snapshot.hh), summed over the recording
+     *  tasks. They run inside the task stage, beside other streams'
+     *  runs, so this time overlaps runSeconds. */
     double snapshotRecordSeconds = 0.0;
-    /** Executing all runs (wall clock of the parallel stage). */
+    /** Wall clock of the one task stage: every recording and every
+     *  run. */
     double runSeconds = 0.0;
-    /** The whole sweep, build + record + runs. */
+    /** The whole sweep, build + task stage. */
     double totalSeconds = 0.0;
     /** Per-spec simulation seconds, in submission order. */
     std::vector<double> perRunSeconds;
+    /** Most shared snapshots alive at once (at most workers + 2);
+     *  not exported to run records. */
+    size_t peakLiveSnapshots = 0;
 };
 
 /**
  * Streams longer than this are not shared (each consumer records its
- * own in 64 KiB chunks): beyond it the packed stream's footprint
- * (~3-4 bytes/instruction) outweighs the saved executor passes.
+ * own in 64 KiB chunks). The schedule bounds how many shared snapshots
+ * are alive (workers + 2), not how large one is: at the measured ~1.9
+ * bytes per instruction the cap keeps each under ~120 MB, so a sweep's
+ * snapshot memory stays bounded by its workers whatever its budget.
  */
 constexpr uint64_t kSweepSnapshotMaxInstructions = 64'000'000;
 
@@ -62,9 +70,12 @@ constexpr uint64_t kSweepSnapshotMaxInstructions = 64'000'000;
  * and each distinct (benchmark, run seed) correct-path stream that
  * more than one spec consumes is recorded once into a shared
  * TraceSnapshot and replayed by all of them; every other run records
- * its own in 64 KiB chunks. Results are bit-identical to single runs
- * at any parallelism, which paranoid sweeps check against the
- * engine's scalar reference path over a live executor.
+ * its own in 64 KiB chunks. Shared streams are recorded stream-major,
+ * each one just ahead of its runs and freed after its last run, so at
+ * most workers + 2 snapshots are alive at once. Results are
+ * bit-identical to single runs at any parallelism, which paranoid
+ * sweeps check against the engine's scalar reference path over a live
+ * executor.
  *
  * @param specs        Requests.
  * @param parallelism  Worker threads; 0 = hardware concurrency.
@@ -146,7 +157,9 @@ struct SweepOutcome
  * process), an optional cooperative watchdog, and a retry loop with
  * exponential backoff. The first attempt may replay the shared
  * correct-path snapshot (after verifying its content digest); every
- * retry re-records a private stream. A run that exhausts
+ * retry re-records a private stream. Runs follow runSweep's schedule;
+ * recording a shared snapshot stays outside the guard, so a failed
+ * recording aborts the sweep. A run that exhausts
  * guard.maxAttempts is quarantined into the outcome's failures array
  * and the sweep carries on.
  *
@@ -157,16 +170,6 @@ SweepOutcome runSweepGuarded(const std::vector<RunSpec> &specs,
                              const SweepGuard &guard,
                              unsigned parallelism = 0,
                              SweepTiming *timing = nullptr);
-
-/**
- * Convenience grid: every listed benchmark under every policy with
- * the same base configuration. Results are ordered
- * benchmark-major, policy-minor.
- */
-std::vector<SimResults>
-runPolicyGrid(const std::vector<std::string> &benchmarks,
-              const SimConfig &base,
-              const std::vector<FetchPolicy> &policies);
 
 /**
  * The instruction budget benches should use: the SPECFETCH_BUDGET

@@ -44,8 +44,10 @@ struct RunTiming
     double runSeconds = 0.0;
     /** The sweep's shared workload-construction stage. */
     double workloadBuildSeconds = 0.0;
-    /** The sweep's shared correct-path snapshot-record stage
-     *  (trace/snapshot.hh record-once/replay-many). */
+    /** The sweep's shared correct-path snapshot recordings
+     *  (trace/snapshot.hh record-once/replay-many): worker-seconds
+     *  summed over the recording tasks, which run beside other
+     *  streams' runs rather than in a stage of their own. */
     double snapshotRecordSeconds = 0.0;
     /** The whole sweep, end to end. */
     double sweepTotalSeconds = 0.0;

@@ -97,19 +97,16 @@ TraceSnapshot::record(InstructionSource &source, uint64_t length,
 {
     SnapshotEncoder encoder(source, length, max_plain_run);
     TraceSnapshot snap;
-    // ~20-25% of dynamic instructions are control (paper Table 3), so
-    // one record per ~4-5 instructions; reserve for the dense case.
-    snap.recs.reserve(static_cast<size_t>(length / 4 + 1));
-    const size_t chunk = SnapshotReplaySource::kChunkRecords;
     for (;;) {
-        size_t used = snap.recs.size();
-        snap.recs.resize(used + chunk);
-        size_t got = encoder.encode(snap.recs.data() + used, chunk);
-        snap.recs.resize(used + got);
-        if (got < chunk)
+        Block block(kChunkRecords);
+        size_t got = encoder.encode(block.data(), kChunkRecords);
+        if (got == 0)
+            break;
+        block.resize(got);
+        snap.chunks.push_back(std::move(block));
+        if (got < kChunkRecords)
             break;
     }
-    snap.recs.shrink_to_fit();
     snap.start = encoder.startPc();
     snap.count = encoder.instructionCount();
     snap.hash = snap.computeHash();
@@ -120,15 +117,19 @@ uint64_t
 TraceSnapshot::computeHash() const
 {
     // Seed the record-bytes digest with the scalar header fields so a
-    // flipped start PC or count is as detectable as a flipped record.
-    uint64_t seed = hash64(&start, sizeof(start), count);
-    return hash64(recs.data(), recs.size() * sizeof(ControlRecord), seed);
+    // flipped start PC or count is as detectable as a flipped record,
+    // then chain it through the blocks in order.
+    uint64_t digest = hash64(&start, sizeof(start), count);
+    for (const Block &block : chunks)
+        digest = hash64(block.data(), block.size() * sizeof(ControlRecord),
+                        digest);
+    return digest;
 }
 
 bool
 TraceSnapshot::verify(std::string *error) const
 {
-    if (count == 0 && recs.empty())
+    if (count == 0 && chunks.empty())
         return true;    // nothing recorded, nothing to corrupt
     uint64_t actual = computeHash();
     if (actual == hash)
@@ -143,20 +144,23 @@ bool
 TraceSnapshot::validate(std::string *error) const
 {
     uint64_t population = 0;
-    for (size_t i = 0; i < recs.size(); ++i) {
-        const ControlRecord &rec = recs[i];
-        bool run_only = rec.cls == kRunOnly;
-        if (!run_only &&
-            rec.cls > static_cast<uint8_t>(InstClass::IndirectCall)) {
-            return refuse(error, "record " + std::to_string(i) +
-                                     " carries invalid class " +
-                                     std::to_string(rec.cls));
+    size_t i = 0;
+    for (const Block &block : chunks) {
+        for (const ControlRecord &rec : block) {
+            bool run_only = rec.cls == kRunOnly;
+            if (!run_only &&
+                rec.cls > static_cast<uint8_t>(InstClass::IndirectCall)) {
+                return refuse(error, "record " + std::to_string(i) +
+                                         " carries invalid class " +
+                                         std::to_string(rec.cls));
+            }
+            if (rec.pad != 0) {
+                return refuse(error, "record " + std::to_string(i) +
+                                         " has nonzero padding");
+            }
+            population += rec.plainBefore + (run_only ? 0 : 1);
+            ++i;
         }
-        if (rec.pad != 0) {
-            return refuse(error, "record " + std::to_string(i) +
-                                     " has nonzero padding");
-        }
-        population += rec.plainBefore + (run_only ? 0 : 1);
     }
     if (population != count) {
         return refuse(error,
@@ -169,16 +173,22 @@ TraceSnapshot::validate(std::string *error) const
 void
 TraceSnapshot::corruptBitForTesting(size_t bitIndex)
 {
-    panic_if(recs.empty(), "cannot corrupt an empty snapshot");
-    size_t byte = (bitIndex / 8) % (recs.size() * sizeof(ControlRecord));
-    uint8_t *bytes = reinterpret_cast<uint8_t *>(recs.data());
-    bytes[byte] = static_cast<uint8_t>(bytes[byte] ^ (1u << (bitIndex % 8)));
+    panic_if(chunks.empty(), "cannot corrupt an empty snapshot");
+    // Every block but the last is full, so the byte's block is a
+    // division away.
+    const size_t blockBytes = kChunkRecords * sizeof(ControlRecord);
+    size_t byte = (bitIndex / 8) % byteSize();
+    uint8_t *bytes =
+        reinterpret_cast<uint8_t *>(chunks[byte / blockBytes].data());
+    uint8_t &target = bytes[byte % blockBytes];
+    target = static_cast<uint8_t>(target ^ (1u << (bitIndex % 8)));
 }
 
 SnapshotReplaySource::SnapshotReplaySource(InstructionSource &source,
                                            uint64_t length)
     : encoder(std::in_place, source, length),
-      chunk(std::make_unique<TraceSnapshot::ControlRecord[]>(kChunkRecords))
+      chunk(std::make_unique<TraceSnapshot::ControlRecord[]>(
+          TraceSnapshot::kChunkRecords))
 {
     if (refill())
         loadRecord();
@@ -188,10 +198,17 @@ SnapshotReplaySource::SnapshotReplaySource(InstructionSource &source,
 bool
 SnapshotReplaySource::refill()
 {
-    if (!encoder)
-        return false;
-    size_t got = encoder->encode(chunk.get(), kChunkRecords);
-    cur = chunk.get();
+    size_t got = 0;
+    if (shared) {
+        if (nextBlock == shared->blocks().size())
+            return false;
+        const TraceSnapshot::Block &block = shared->blocks()[nextBlock++];
+        cur = block.data();
+        got = block.size();
+    } else if (encoder) {
+        cur = chunk.get();
+        got = encoder->encode(chunk.get(), TraceSnapshot::kChunkRecords);
+    }
     end = cur + got;
     return got > 0;
 }

@@ -16,10 +16,11 @@
  * the next correct-path PC is always the previous instruction's
  * nextPc(). A snapshot is therefore just the start PC plus one packed
  * 16-byte ControlRecord per control instruction, each carrying the
- * run of sequential plain instructions preceding it. At the paper
- * workloads' ~20-25% branch fractions this costs ~3-4 bytes per
- * dynamic instruction, and replay is a branch-predictable run-length
- * walk that is much cheaper than CFG interpretation.
+ * run of sequential plain instructions preceding it. On the paper
+ * workloads that is one record per ~8.5 instructions, ~1.9 bytes per
+ * dynamic instruction (the 13 seed-42 streams of 2M instructions hold
+ * 46.8 MiB), and replay is a branch-predictable run-length walk that
+ * is much cheaper than CFG interpretation.
  */
 
 #ifndef SPECFETCH_TRACE_SNAPSHOT_HH_
@@ -39,11 +40,12 @@
 namespace specfetch {
 
 /**
- * Immutable packed encoding of a finite correct-path prefix. Record
- * once (from any InstructionSource), replay concurrently from any
- * number of SnapshotReplaySource cursors — the snapshot itself is
- * never mutated after record() returns, so sharing it across sweep
- * worker threads is safe.
+ * Immutable packed encoding of a finite correct-path prefix, stored
+ * as a list of fixed 64 KiB blocks. Record once (from any
+ * InstructionSource), replay concurrently from any number of
+ * SnapshotReplaySource cursors — the snapshot itself is never mutated
+ * after record() returns, so sharing it across sweep worker threads
+ * is safe.
  */
 class TraceSnapshot
 {
@@ -81,6 +83,17 @@ class TraceSnapshot
     static constexpr uint32_t kMaxPlainRun =
         std::numeric_limits<uint32_t>::max();
 
+    /** Records per block, and per streaming cursor chunk. */
+    static constexpr size_t kChunkRecords = 4096;
+    static_assert(kChunkRecords * sizeof(ControlRecord) == 64 * 1024);
+
+    /**
+     * One block of records. record() allocates every block at
+     * kChunkRecords and fills all but the last, so the allocator
+     * reuses a freed snapshot's blocks for the next recording.
+     */
+    using Block = std::vector<ControlRecord>;
+
     TraceSnapshot() = default;
 
     /**
@@ -97,18 +110,28 @@ class TraceSnapshot
     /** PC of the first recorded instruction. */
     Addr startPc() const { return start; }
 
+    /** Packed records stored, over all blocks. */
+    size_t
+    recordCount() const
+    {
+        return chunks.empty()
+            ? 0
+            : (chunks.size() - 1) * kChunkRecords + chunks.back().size();
+    }
+
     /** Memory footprint of the packed stream. */
     uint64_t
     byteSize() const
     {
-        return static_cast<uint64_t>(recs.size()) * sizeof(ControlRecord);
+        return static_cast<uint64_t>(recordCount()) * sizeof(ControlRecord);
     }
 
-    const std::vector<ControlRecord> &records() const { return recs; }
+    /** The blocks in stream order; none is empty. */
+    const std::vector<Block> &blocks() const { return chunks; }
 
     /**
-     * Recompute the xxhash-style content digest (packed stream, start
-     * PC and instruction count) and compare with the one record()
+     * Recompute the xxhash-style content digest (the blocks in order,
+     * start PC and instruction count) and compare with the one record()
      * stored. Returns false — never panics — on mismatch, naming the
      * expected/actual digests in @p error; the guarded sweep then
      * re-records a private stream instead of replaying garbage.
@@ -116,25 +139,26 @@ class TraceSnapshot
     bool verify(std::string *error = nullptr) const;
 
     /**
-     * Structural sanity independent of the digest: every record's
-     * class is a valid wire class or kRunOnly, and the per-record
-     * populations add up to instructionCount(). Catches logic bugs
-     * that a correctly-rehashed mutation would not.
+     * Structural sanity independent of the digest: every record of
+     * every block has a valid wire class or kRunOnly, and the
+     * per-record populations add up to instructionCount(). Catches
+     * logic bugs that a correctly-rehashed mutation would not.
      */
     bool validate(std::string *error = nullptr) const;
 
     /**
-     * Fault-injection hook: flip one bit of the packed stream so
-     * integrity checking can be exercised deterministically. Panics
-     * on an empty snapshot. Testing only — a production snapshot is
-     * immutable after record().
+     * Fault-injection hook: flip one bit of the packed stream (bit
+     * @p bitIndex modulo byteSize() * 8, counted across the blocks in
+     * order) so integrity checking can be exercised deterministically.
+     * Panics on an empty snapshot. Testing only — a production
+     * snapshot is immutable after record().
      */
     void corruptBitForTesting(size_t bitIndex);
 
   private:
     uint64_t computeHash() const;
 
-    std::vector<ControlRecord> recs;
+    std::vector<Block> chunks;
     Addr start = 0;
     uint64_t count = 0;
     uint64_t hash = 0;
@@ -184,24 +208,21 @@ class SnapshotEncoder
  * inlines the per-instruction source step — the replay fast path is a
  * decrement, three stores and an add.
  *
- * Over a shared TraceSnapshot, replay ends with the snapshot: record
- * at least the longest consumer's (warmup + budget) instructions.
- * Over an InstructionSource, the cursor records the stream itself
- * into a private 64 KiB chunk that it refills whenever it drains.
+ * Both forms walk one chunk of records at a time through one refill
+ * step. Over a shared TraceSnapshot the chunks are its blocks, and
+ * replay ends with the snapshot: record at least the longest
+ * consumer's (warmup + budget) instructions. Over an
+ * InstructionSource, the cursor records the stream itself into a
+ * private 64 KiB chunk that it refills whenever it drains.
  */
 class SnapshotReplaySource final : public InstructionSource
 {
   public:
-    /** Records per streaming chunk. */
-    static constexpr size_t kChunkRecords = 4096;
-    static_assert(kChunkRecords * sizeof(TraceSnapshot::ControlRecord) ==
-                  64 * 1024);
-
+    /** Replay @p snapshot (borrowed; must outlive the cursor). */
     explicit SnapshotReplaySource(const TraceSnapshot &snapshot)
-        : cur(snapshot.records().data()),
-          end(cur + snapshot.records().size()), pc(snapshot.startPc())
+        : pc(snapshot.startPc()), shared(&snapshot)
     {
-        if (cur != end)
+        if (refill())
             loadRecord();
     }
 
@@ -272,7 +293,8 @@ class SnapshotReplaySource final : public InstructionSource
             loadRecord();
     }
 
-    /** Encode the next chunk; false (cur == end) at the end. */
+    /** Point at the next block or encode the next chunk; false
+     *  (cur == end) at the end. */
     bool refill();
 
     const TraceSnapshot::ControlRecord *cur = nullptr;
@@ -280,6 +302,9 @@ class SnapshotReplaySource final : public InstructionSource
     Addr pc = 0;
     uint32_t plainLeft = 0;
     bool controlPending = false;
+    /** Shared form only. */
+    const TraceSnapshot *shared = nullptr;
+    size_t nextBlock = 0;
     /** Streaming form only. */
     std::optional<SnapshotEncoder> encoder;
     std::unique_ptr<TraceSnapshot::ControlRecord[]> chunk;

@@ -1,9 +1,11 @@
 /**
  * @file
  * runSweep contract tests: serial and parallel sweeps must produce
- * identical results in submission order, shared and private streams
- * must match the engine's scalar reference (also under the paranoid
- * cross-check), timing capture must cover every spec, and benchBudget
+ * identical results and observations in submission order, in any
+ * spec order, with live shared snapshots bounded by the workers;
+ * shared and private streams must match the engine's scalar reference
+ * (also under the paranoid cross-check), timing capture must cover
+ * every spec, and benchBudget
  * must honour the SPECFETCH_BUDGET environment variable (K/M/G
  * suffixes, garbage rejected).
  */
@@ -15,6 +17,7 @@
 #include "core/fetch_engine.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
+#include "obs/obs_record.hh"
 #include "workload/executor.hh"
 #include "workload/registry.hh"
 
@@ -42,18 +45,95 @@ smallGrid()
 
 } // namespace
 
+/** Everything a run's armed collectors produced, as JSON text. */
+std::string
+observationDump(const RunObservations &obs, const SimResults &results,
+                const SimConfig &config)
+{
+    std::string dump = obs.epochs.empty()
+        ? std::string("no epochs")
+        : makeTimeseriesRecord(obs, results, config).dump();
+    if (obs.heatmap)
+        dump += toJson(*obs.heatmap).dump();
+    return dump;
+}
+
 TEST(Sweep, ParallelMatchesSerialBitExactly)
 {
-    std::vector<RunSpec> specs = smallGrid();
-    std::vector<SimResults> serial = runSweep(specs, /*parallelism=*/1);
-    std::vector<SimResults> parallel = runSweep(specs, /*parallelism=*/4);
+    // Benchmark-major, where each stream's consumers are adjacent, and
+    // policy-major, where they are spread over the whole sweep; the
+    // sampler and heatmap are armed so observations are compared too.
+    std::vector<RunSpec> benchmarkMajor = smallGrid();
+    std::vector<RunSpec> policyMajor;
+    for (size_t policy = 0; policy < 3; ++policy) {
+        for (size_t bench = 0; bench < 3; ++bench)
+            policyMajor.push_back(benchmarkMajor[bench * 3 + policy]);
+    }
+    for (std::vector<RunSpec> specs : {benchmarkMajor, policyMajor}) {
+        for (RunSpec &spec : specs) {
+            spec.config.sampleInterval = 10'000;
+            spec.config.setHeatmap = true;
+        }
+        std::vector<RunObservations> serialObs;
+        std::vector<SimResults> serial =
+            runSweep(specs, /*parallelism=*/1, nullptr, &serialObs);
+        ASSERT_EQ(serial.size(), specs.size());
+        for (unsigned parallelism : {2u, 3u, 8u}) {
+            std::vector<RunObservations> parallelObs;
+            std::vector<SimResults> parallel =
+                runSweep(specs, parallelism, nullptr, &parallelObs);
+            ASSERT_EQ(parallel.size(), specs.size());
+            for (size_t i = 0; i < specs.size(); ++i) {
+                EXPECT_EQ(serial[i], parallel[i])
+                    << "spec " << i << " (" << specs[i].benchmark << ", "
+                    << toString(specs[i].config.policy)
+                    << ") diverged at parallelism " << parallelism;
+                ASSERT_NE(serialObs[i].heatmap, nullptr);
+                EXPECT_EQ(observationDump(serialObs[i], serial[i],
+                                          specs[i].config),
+                          observationDump(parallelObs[i], parallel[i],
+                                          specs[i].config))
+                    << "spec " << i << " observations diverged at "
+                    << "parallelism " << parallelism;
+            }
+        }
+    }
+}
 
-    ASSERT_EQ(serial.size(), specs.size());
-    ASSERT_EQ(parallel.size(), specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(serial[i], parallel[i])
-            << "spec " << i << " (" << specs[i].benchmark << ", "
-            << toString(specs[i].config.policy) << ") diverged";
+TEST(Sweep, LiveSnapshotsStayWithinTheWorkerBound)
+{
+    // 26 shared streams (13 profiles x 2 seeds, two policies each):
+    // each stream is recorded just ahead of its runs and freed after
+    // its last one, so the live count tracks the workers, not the
+    // streams.
+    std::vector<RunSpec> specs;
+    for (const std::string &name : benchmarkNames()) {
+        for (uint64_t seed : {1u, 2u}) {
+            for (FetchPolicy policy :
+                 {FetchPolicy::Resume, FetchPolicy::Pessimistic}) {
+                SimConfig config;
+                config.instructionBudget = 5'000;
+                config.runSeed = seed;
+                config.policy = policy;
+                specs.push_back(RunSpec{name, config});
+            }
+        }
+    }
+    const size_t streams = specs.size() / 2;
+    ASSERT_GE(streams, 20u);
+    for (unsigned workers : {1u, 2u}) {
+        SweepTiming plain;
+        runSweep(specs, workers, &plain);
+        SweepTiming guarded;
+        SweepOutcome outcome =
+            runSweepGuarded(specs, SweepGuard{}, workers, &guarded);
+        ASSERT_TRUE(outcome.allCompleted());
+        for (const SweepTiming *timing : {&plain, &guarded}) {
+            EXPECT_GE(timing->peakLiveSnapshots, 1u);
+            EXPECT_LE(timing->peakLiveSnapshots, workers + 2)
+                << "workers " << workers;
+            EXPECT_LT(timing->peakLiveSnapshots, streams);
+        }
     }
 }
 

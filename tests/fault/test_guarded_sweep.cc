@@ -116,6 +116,50 @@ TEST(GuardedSweep, CorruptSnapshotDegradesToLiveExecution)
     EXPECT_TRUE(guarded.allCompleted());
     for (size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(guarded.results[i], plain[i]) << "spec " << i;
+
+    // Degraded and quarantined runs still release their stream: over
+    // 12 shared streams, with a corrupted replay in every stream and a
+    // quarantined run in every other one, the live snapshots stay
+    // within the bound.
+    std::vector<RunSpec> many;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        for (const RunSpec &spec : smallGrid()) {
+            if (spec.config.policy == FetchPolicy::Oracle)
+                continue;
+            RunSpec copy = spec;
+            copy.config.instructionBudget = 5'000;
+            copy.config.runSeed = seed;
+            many.push_back(copy);
+        }
+    }
+    // Stream k is runs 2k and 2k + 1: (li, seed), then (gcc, seed).
+    std::string directives;
+    for (size_t stream = 0; stream < many.size() / 2; ++stream) {
+        directives += "corrupt@" + std::to_string(2 * stream) + ",";
+        if (stream % 2 == 0)
+            directives += "throw@" + std::to_string(2 * stream + 1) + "x*,";
+    }
+    directives.pop_back();
+    FaultInjector faults;
+    ASSERT_TRUE(FaultInjector::parse(directives, faults));
+    SweepGuard faulty = fastGuard();
+    faulty.maxAttempts = 1;
+    faulty.injector = &faults;
+    std::vector<SimResults> clean = runSweep(many, 2);
+    for (unsigned workers : {1u, 2u}) {
+        SweepTiming timing;
+        SweepOutcome outcome =
+            runSweepGuarded(many, faulty, workers, &timing);
+        EXPECT_EQ(outcome.failures.size(), 6u);
+        for (size_t i = 0; i < many.size(); ++i) {
+            if (outcome.completed[i]) {
+                EXPECT_EQ(outcome.results[i], clean[i]) << "spec " << i;
+            }
+        }
+        EXPECT_GE(timing.peakLiveSnapshots, 1u);
+        EXPECT_LE(timing.peakLiveSnapshots, workers + 2)
+            << "workers " << workers;
+    }
 }
 
 TEST(GuardedSweep, PersistentFailureIsQuarantined)

@@ -19,8 +19,15 @@ TEST(EndToEnd, EveryBenchmarkRunsEveryPolicy)
 {
     SimConfig config;
     config.instructionBudget = 60'000;
-    std::vector<SimResults> results =
-        runPolicyGrid(benchmarkNames(), config, allPolicies());
+    std::vector<RunSpec> specs;
+    for (const std::string &benchmark : benchmarkNames()) {
+        for (FetchPolicy policy : allPolicies()) {
+            RunSpec spec{benchmark, config};
+            spec.config.policy = policy;
+            specs.push_back(std::move(spec));
+        }
+    }
+    std::vector<SimResults> results = runSweep(specs);
     ASSERT_EQ(results.size(), 13u * 5u);
     for (const SimResults &r : results) {
         EXPECT_EQ(r.instructions, 60'000u) << r.workload;

@@ -224,7 +224,7 @@ smallSnapshot(uint64_t length = 20'000)
 TEST(SnapshotIntegrity, CleanSnapshotVerifiesAndValidates)
 {
     TraceSnapshot snapshot = smallSnapshot();
-    ASSERT_GT(snapshot.records().size(), 0u);
+    ASSERT_GT(snapshot.recordCount(), 0u);
     std::string error;
     EXPECT_TRUE(snapshot.verify(&error)) << error;
     EXPECT_TRUE(snapshot.validate(&error)) << error;
@@ -237,6 +237,59 @@ TEST(SnapshotIntegrity, SingleBitFlipFailsVerifyWithDigests)
     std::string error;
     EXPECT_FALSE(snapshot.verify(&error));
     EXPECT_NE(error.find("digest mismatch"), std::string::npos) << error;
+}
+
+TEST(SnapshotIntegrity, BitFlipsReachEveryByteOfEveryBlock)
+{
+    TraceSnapshot snapshot = smallSnapshot(80'000);
+    const size_t block_bytes = TraceSnapshot::kChunkRecords *
+        sizeof(TraceSnapshot::ControlRecord);
+    ASSERT_GE(snapshot.blocks().size(), 3u);
+    auto byteAt = [&snapshot, block_bytes](size_t byte) {
+        const auto *bytes = reinterpret_cast<const uint8_t *>(
+            snapshot.blocks()[byte / block_bytes].data());
+        return bytes[byte % block_bytes];
+    };
+    // Bit 8j + j%8 lands in byte j, wherever j falls among the blocks;
+    // a second flip restores it.
+    for (size_t byte = 0; byte < snapshot.byteSize(); ++byte) {
+        uint8_t before = byteAt(byte);
+        snapshot.corruptBitForTesting(byte * 8 + byte % 8);
+        ASSERT_EQ(byteAt(byte), before ^ (1u << (byte % 8))) << byte;
+        snapshot.corruptBitForTesting(byte * 8 + byte % 8);
+    }
+    // Indices past the end wrap around to the first block.
+    uint8_t first = byteAt(0);
+    snapshot.corruptBitForTesting(snapshot.byteSize() * 8 + 3);
+    EXPECT_EQ(byteAt(0), first ^ 0x8);
+    snapshot.corruptBitForTesting(3);
+    EXPECT_TRUE(snapshot.verify());
+
+    // The digest covers the last block too.
+    size_t last_block_start = (snapshot.blocks().size() - 1) * block_bytes;
+    for (size_t byte : {last_block_start, snapshot.byteSize() - 9}) {
+        snapshot.corruptBitForTesting(byte * 8 + 1);
+        std::string error;
+        EXPECT_FALSE(snapshot.verify(&error)) << byte;
+        EXPECT_NE(error.find("digest mismatch"), std::string::npos) << error;
+        snapshot.corruptBitForTesting(byte * 8 + 1);
+        EXPECT_TRUE(snapshot.verify()) << byte;
+    }
+}
+
+TEST(SnapshotIntegrity, ValidateWalksEveryBlock)
+{
+    TraceSnapshot snapshot = smallSnapshot(80'000);
+    ASSERT_GE(snapshot.blocks().size(), 3u);
+    // The last byte of the last record is padding.
+    snapshot.corruptBitForTesting((snapshot.byteSize() - 1) * 8);
+    std::string error;
+    EXPECT_FALSE(snapshot.validate(&error));
+    EXPECT_NE(error.find("record " +
+                         std::to_string(snapshot.recordCount() - 1) +
+                         " has nonzero padding"),
+              std::string::npos)
+        << error;
 }
 
 TEST(SnapshotIntegrity, PopulationDriftFailsValidate)

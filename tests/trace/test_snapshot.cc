@@ -90,6 +90,25 @@ class FiniteSource : public InstructionSource
     uint64_t emitted = 0;
 };
 
+/** Same blocks, byte for byte. */
+bool
+sameBlocks(const TraceSnapshot &a, const TraceSnapshot &b)
+{
+    if (a.blocks().size() != b.blocks().size())
+        return false;
+    for (size_t i = 0; i < a.blocks().size(); ++i) {
+        const TraceSnapshot::Block &x = a.blocks()[i];
+        const TraceSnapshot::Block &y = b.blocks()[i];
+        if (x.size() != y.size() ||
+            std::memcmp(x.data(), y.data(),
+                        x.size() * sizeof(TraceSnapshot::ControlRecord)) !=
+                0) {
+            return false;
+        }
+    }
+    return true;
+}
+
 TEST(Snapshot, ReplayStreamMatchesLiveExecutor)
 {
     Workload w = smallWorkload();
@@ -100,10 +119,10 @@ TEST(Snapshot, ReplayStreamMatchesLiveExecutor)
     ASSERT_EQ(snap.instructionCount(), n);
     // The streaming cursors refill their chunk several times and end
     // partway through one, on a run-only record of trailing plains.
-    const size_t chunk = SnapshotReplaySource::kChunkRecords;
-    ASSERT_GT(snap.records().size(), 2 * chunk);
-    ASSERT_NE(snap.records().size() % chunk, 0u);
-    ASSERT_EQ(snap.records().back().cls, TraceSnapshot::kRunOnly);
+    const size_t chunk = TraceSnapshot::kChunkRecords;
+    ASSERT_GT(snap.recordCount(), 2 * chunk);
+    ASSERT_NE(snap.recordCount() % chunk, 0u);
+    ASSERT_EQ(snap.blocks().back().back().cls, TraceSnapshot::kRunOnly);
 
     SnapshotReplaySource replay(snap);
     expectMatchesLive(w, replay, n);
@@ -158,6 +177,67 @@ TEST(Snapshot, EmptySnapshotYieldsNothing)
     EXPECT_EQ(replay.takePlainRun(pc, 100), 0u);
 }
 
+TEST(Snapshot, BlocksAreTheStreamingCursorsChunks)
+{
+    // A snapshot's blocks are the very chunks the streaming cursor
+    // fills from the same source: full 4096-record blocks, a short
+    // last one, no empty one. Lengths cover an empty stream, streams
+    // that end exactly on a block boundary (the cut right after the
+    // control instruction closing record 4096k - 1), and one that
+    // ends on trailing plains partway through a block.
+    Workload w = smallWorkload();
+    const size_t chunk = TraceSnapshot::kChunkRecords;
+    Executor probe_source(w.cfg, 42);
+    TraceSnapshot probe = TraceSnapshot::record(probe_source, 80'000);
+    ASSERT_GT(probe.recordCount(), 3 * chunk);
+    ASSERT_NE(probe.recordCount() % chunk, 0u);
+    std::vector<uint64_t> lengths{0, 80'000};
+    uint64_t population = 0;
+    for (size_t b = 0; b < 3; ++b) {
+        for (const TraceSnapshot::ControlRecord &rec : probe.blocks()[b])
+            population += rec.plainBefore + 1;
+        ASSERT_NE(probe.blocks()[b].back().cls, TraceSnapshot::kRunOnly);
+        lengths.push_back(population);
+    }
+
+    for (uint64_t length : lengths) {
+        Executor a(w.cfg, 42);
+        TraceSnapshot snap = TraceSnapshot::record(a, length);
+        ASSERT_EQ(snap.instructionCount(), length);
+        EXPECT_TRUE(snap.verify()) << length;
+        EXPECT_TRUE(snap.validate()) << length;
+        if (length != 0 && length != 80'000) {
+            EXPECT_EQ(snap.recordCount() % chunk, 0u) << length;
+        }
+
+        Executor b(w.cfg, 42);
+        SnapshotEncoder encoder(b, length);
+        std::vector<TraceSnapshot::ControlRecord> filled(chunk);
+        size_t blocks = 0;
+        for (;;) {
+            size_t got = encoder.encode(filled.data(), chunk);
+            if (got == 0)
+                break;
+            ASSERT_LT(blocks, snap.blocks().size()) << length;
+            const TraceSnapshot::Block &block = snap.blocks()[blocks++];
+            EXPECT_EQ(block.capacity(), chunk);
+            ASSERT_EQ(block.size(), got) << length;
+            EXPECT_EQ(std::memcmp(block.data(), filled.data(),
+                                  got * sizeof(filled[0])),
+                      0)
+                << "length " << length << " block " << blocks - 1;
+        }
+        EXPECT_EQ(blocks, snap.blocks().size()) << length;
+
+        // Both cursor forms replay across the block boundaries.
+        SnapshotReplaySource replay(snap);
+        expectMatchesLive(w, replay, length);
+        Executor c(w.cfg, 42);
+        SnapshotReplaySource streaming(c, length);
+        expectMatchesLive(w, streaming, length);
+    }
+}
+
 TEST(Snapshot, ChunkedPlainRunsReplayIdentically)
 {
     Workload w = smallWorkload();
@@ -171,7 +251,7 @@ TEST(Snapshot, ChunkedPlainRunsReplayIdentically)
 
     // Chunking costs extra run-only records but must not change the
     // replayed stream.
-    EXPECT_GT(chunked.records().size(), whole.records().size());
+    EXPECT_GT(chunked.recordCount(), whole.recordCount());
     SnapshotReplaySource lhs(whole), rhs(chunked);
     DynInst x, y;
     for (uint64_t i = 0; i < n; ++i) {
@@ -227,14 +307,12 @@ TEST(Snapshot, BulkRecordingMatchesScalarRecording)
             EXPECT_EQ(bulk.instructionCount(), length) << name;
             EXPECT_EQ(bulk.instructionCount(), scalar.instructionCount());
             EXPECT_EQ(bulk.startPc(), scalar.startPc()) << name;
-            ASSERT_EQ(bulk.records().size(), scalar.records().size())
+            ASSERT_EQ(bulk.recordCount(), scalar.recordCount())
                 << name << " max_plain_run " << max_plain_run;
-            EXPECT_EQ(std::memcmp(bulk.records().data(),
-                                  scalar.records().data(),
-                                  bulk.byteSize()),
-                      0)
+            EXPECT_TRUE(sameBlocks(bulk, scalar))
                 << name << " max_plain_run " << max_plain_run;
-            EXPECT_EQ(bulk.records().back().cls, TraceSnapshot::kRunOnly);
+            EXPECT_EQ(bulk.blocks().back().back().cls,
+                      TraceSnapshot::kRunOnly);
             EXPECT_TRUE(bulk.verify()) << name;
             EXPECT_TRUE(scalar.verify()) << name;
             EXPECT_TRUE(bulk.validate()) << name;
@@ -312,7 +390,7 @@ TEST(SnapshotDeath, NonContinuousSourcePanics)
 
     // The streaming cursor panics mid-replay, when the refill that
     // reaches the discontinuity encodes it.
-    const uint64_t late = 2 * SnapshotReplaySource::kChunkRecords + 5;
+    const uint64_t late = 2 * TraceSnapshot::kChunkRecords + 5;
     EXPECT_DEATH(
         {
             BrokenSource broken(late);
