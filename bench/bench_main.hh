@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,11 +60,15 @@ class BenchMain
     /**
      * Parse the shared options. Returns false when the caller should
      * exit: on --help (parseFailed stays false, exit 0) or on a real
-     * error (parseFailed set, exit 1).
+     * error (parseFailed set, exit 1). Only a harness that honours the
+     * fault-tolerance options (--store, --retries, --run-timeout,
+     * --fault-inject and SPECFETCH_FAULT_INJECT) passes @p durable;
+     * every other harness rejects them like any unknown flag.
      */
     bool
     parse(int argc, const char *const *argv, const std::string &name,
-          const std::string &what, uint64_t fallbackBudget = kDefaultBudget)
+          const std::string &what, uint64_t fallbackBudget = kDefaultBudget,
+          bool durable = false)
     {
         OptionParser opts(name, what);
         opts.addCount("budget", benchBudget(fallbackBudget),
@@ -79,18 +84,20 @@ class BenchMain
                        "invariant-audit level: off, cheap or paranoid");
         opts.addCount("checkpoint-interval", 100'000,
                       "paranoid-audit checkpoint spacing, instructions");
-        opts.addString("store", "",
-                       "keep completed runs in the result store at this "
-                       "directory; runs already in it are served, not "
-                       "re-run");
-        opts.addCount("retries", 3,
-                      "attempts per run before quarantine (1.."
-                      + std::to_string(kMaxRetries) + ")");
-        opts.addDouble("run-timeout", 0.0,
-                       "per-run watchdog budget in seconds (0 = off)");
-        opts.addString("fault-inject", "",
-                       "fault-injection spec, e.g. throw@5x2,crash@9 "
-                       "(default honours SPECFETCH_FAULT_INJECT)");
+        if (durable) {
+            opts.addString("store", "",
+                           "keep completed runs in the result store at "
+                           "this directory; runs already in it are "
+                           "served, not re-run");
+            opts.addCount("retries", 3,
+                          "attempts per run before quarantine (1.."
+                          + std::to_string(kMaxRetries) + ")");
+            opts.addDouble("run-timeout", 0.0,
+                           "per-run watchdog budget in seconds (0 = off)");
+            opts.addString("fault-inject", "",
+                           "fault-injection spec, e.g. throw@5x2,crash@9 "
+                           "(default honours SPECFETCH_FAULT_INJECT)");
+        }
         opts.addCount("sample-interval", 0,
                       "emit one timeseries epoch every N retired "
                       "instructions (0 = off; needs --json)");
@@ -124,82 +131,25 @@ class BenchMain
             return false;
         }
         budget = opts.getCount("budget");
-        if (budget == 0) {
-            std::fprintf(stderr,
-                         "error: --budget must be a positive "
-                         "instruction count (got 0)\n");
-            parseFailed = true;
-            return false;
-        }
+        if (budget == 0)
+            return reject("--budget must be a positive instruction count "
+                          "(got 0)");
         parallelism = static_cast<unsigned>(opts.getCount("parallelism"));
-        if (opts.wasSet("parallelism") && parallelism == 0) {
-            std::fprintf(stderr,
-                         "error: --parallelism 0 is ambiguous; omit the "
-                         "option to use hardware concurrency\n");
-            parseFailed = true;
-            return false;
-        }
-        if (!parseCheckLevel(opts.getString("check"), checkLevel)) {
-            std::fprintf(stderr,
-                         "error: --check expects off, cheap or paranoid "
-                         "(got '%s')\n",
-                         opts.getString("check").c_str());
-            parseFailed = true;
-            return false;
-        }
+        if (opts.wasSet("parallelism") && parallelism == 0)
+            return reject("--parallelism 0 is ambiguous; omit the option "
+                          "to use hardware concurrency");
+        if (!parseCheckLevel(opts.getString("check"), checkLevel))
+            return reject("--check expects off, cheap or paranoid (got '" +
+                          opts.getString("check") + "')");
         checkpointInterval = opts.getCount("checkpoint-interval");
-        if (checkpointInterval == 0) {
-            std::fprintf(stderr,
-                         "error: --checkpoint-interval expects a "
-                         "positive instruction count (got 0)\n");
-            parseFailed = true;
-            return false;
-        }
-        storeDir = opts.getString("store");
-        uint64_t retriesRaw = opts.getCount("retries");
-        if (retriesRaw < 1 || retriesRaw > kMaxRetries) {
-            std::fprintf(stderr,
-                         "error: --retries must be in [1, %llu] (got "
-                         "%llu)\n",
-                         static_cast<unsigned long long>(kMaxRetries),
-                         static_cast<unsigned long long>(retriesRaw));
-            parseFailed = true;
-            return false;
-        }
-        retries = static_cast<unsigned>(retriesRaw);
-        runTimeoutSeconds = opts.getDouble("run-timeout");
-        if (runTimeoutSeconds < 0.0) {
-            std::fprintf(stderr,
-                         "error: --run-timeout must be non-negative "
-                         "seconds (got %g)\n",
-                         runTimeoutSeconds);
-            parseFailed = true;
-            return false;
-        }
-        std::string injectError;
-        if (opts.wasSet("fault-inject")) {
-            if (!FaultInjector::parse(opts.getString("fault-inject"),
-                                      injector, &injectError)) {
-                std::fprintf(stderr, "error: --fault-inject: %s\n",
-                             injectError.c_str());
-                parseFailed = true;
-                return false;
-            }
-        } else if (!FaultInjector::fromEnv(injector, &injectError)) {
-            std::fprintf(stderr, "error: %s: %s\n",
-                         kFaultInjectEnv, injectError.c_str());
-            parseFailed = true;
-            return false;
-        }
+        if (checkpointInterval == 0)
+            return reject("--checkpoint-interval expects a positive "
+                          "instruction count (got 0)");
         if (!opts.getString("json").empty() &&
-            opts.getString("json") == opts.getString("csv")) {
-            std::fprintf(stderr,
-                         "error: --json and --csv name the same path "
-                         "(%s); the sinks would interleave\n",
-                         opts.getString("json").c_str());
-            parseFailed = true;
-            return false;
-        }
+            opts.getString("json") == opts.getString("csv"))
+            return reject("--json and --csv name the same path (" +
+                          opts.getString("json") +
+                          "); the sinks would interleave");
         if (!opts.getString("json").empty() &&
             !openJson(opts.getString("json"))) {
             parseFailed = true;
@@ -207,12 +157,8 @@ class BenchMain
         }
         if (!opts.getString("csv").empty()) {
             csv = std::make_unique<CsvReportWriter>(opts.getString("csv"));
-            if (!csv->ok()) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             csv->path().c_str());
-                parseFailed = true;
-                return false;
-            }
+            if (!csv->ok())
+                return reject("cannot write " + csv->path());
         }
         if (opts.getFlag("list-stats")) {
             listStats();
@@ -220,66 +166,29 @@ class BenchMain
         }
         sampleInterval = opts.getCount("sample-interval");
         heatmap = opts.getFlag("heatmap");
-        if ((sampleInterval > 0 || heatmap) && !storeDir.empty()) {
-            // The store keeps exactly one record per run key and
-            // serves it verbatim; side-channel timeseries/heatmap rows
-            // would not survive a rerun byte-identically.
-            std::fprintf(stderr,
-                         "error: --sample-interval/--heatmap cannot be "
-                         "combined with --store (observation rows are "
-                         "not stored; a rerun would drop them)\n");
-            parseFailed = true;
-            return false;
-        }
-        if (opts.wasSet("adaptive")) {
-            if (!parseSelectorKind(opts.getString("adaptive"),
-                                   adaptiveSelector) ||
-                adaptiveSelector == SelectorKind::Off) {
-                std::fprintf(stderr,
-                             "error: --adaptive expects static, "
-                             "threshold or bandit (got '%s')\n",
-                             opts.getString("adaptive").c_str());
-                parseFailed = true;
-                return false;
-            }
-        }
+        if (opts.wasSet("adaptive") &&
+            (!parseSelectorKind(opts.getString("adaptive"),
+                                adaptiveSelector) ||
+             adaptiveSelector == SelectorKind::Off))
+            return reject("--adaptive expects static, threshold or bandit "
+                          "(got '" + opts.getString("adaptive") + "')");
         if ((opts.wasSet("adaptive-interval") ||
              opts.wasSet("adaptive-seed")) &&
-            adaptiveSelector == SelectorKind::Off) {
-            std::fprintf(stderr,
-                         "error: --adaptive-interval/--adaptive-seed "
-                         "need --adaptive to pick a selector\n");
-            parseFailed = true;
-            return false;
-        }
+            adaptiveSelector == SelectorKind::Off)
+            return reject("--adaptive-interval/--adaptive-seed need "
+                          "--adaptive to pick a selector");
         adaptiveInterval = opts.getCount("adaptive-interval");
-        if (adaptiveInterval == 0) {
-            std::fprintf(stderr,
-                         "error: --adaptive-interval must be a positive "
-                         "instruction count (got 0)\n");
-            parseFailed = true;
-            return false;
-        }
+        if (adaptiveInterval == 0)
+            return reject("--adaptive-interval must be a positive "
+                          "instruction count (got 0)");
         adaptiveSeed = opts.getCount("adaptive-seed");
-        if (adaptiveSelector != SelectorKind::Off && !storeDir.empty()) {
-            // Same reason as --sample-interval: adaptive choice-log
-            // rows are side-channel records the store cannot serve.
-            std::fprintf(stderr,
-                         "error: --adaptive cannot be combined with "
-                         "--store (choice-log rows are not stored; a "
-                         "rerun would drop them)\n");
-            parseFailed = true;
+        if (durable && !parseDurable(opts))
             return false;
-        }
         progressInterval = opts.getDouble("progress-interval");
-        if (progressInterval <= 0.0) {
-            std::fprintf(stderr,
-                         "error: --progress-interval must be positive "
-                         "seconds (got %g)\n",
-                         progressInterval);
-            parseFailed = true;
-            return false;
-        }
+        if (progressInterval <= 0.0)
+            return reject(detail::format("--progress-interval must be "
+                                         "positive seconds (got %g)",
+                                         progressInterval));
         progress = opts.getFlag("progress");
         progressFile = opts.getString("progress-file");
         benchName = name;
@@ -419,11 +328,12 @@ class BenchMain
     }
 
     /**
-     * Export the observation rows of a sweep (timeseries + heatmap
-     * records, JSONL only — their arrays have no sensible CSV form).
+     * Export the observation rows of a sweep's first specs.size()
+     * runs (timeseries + heatmap + adaptive records, JSONL only —
+     * their arrays have no sensible CSV form).
      */
     void
-    emitObservations(const std::vector<RunSpec> &specs,
+    emitObservations(std::span<const RunSpec> specs,
                      const std::vector<SimResults> &results,
                      const std::vector<RunObservations> &observations)
     {
@@ -434,7 +344,7 @@ class BenchMain
                  "records; give --json to keep them");
             return;
         }
-        for (size_t i = 0; i < observations.size(); ++i) {
+        for (size_t i = 0; i < specs.size(); ++i) {
             const RunObservations &obs = observations[i];
             if (!obs.epochs.empty()) {
                 json->write(makeTimeseriesRecord(obs, results[i],
@@ -482,6 +392,58 @@ class BenchMain
     std::string benchName;
 
   private:
+    /** Print "error: <why>", mark the parse failed, return false. */
+    bool
+    reject(const std::string &why)
+    {
+        std::fprintf(stderr, "error: %s\n", why.c_str());
+        parseFailed = true;
+        return false;
+    }
+
+    /**
+     * The fault-tolerance options (bench_suite only); false on error.
+     * Runs after the observation and adaptive options are parsed.
+     */
+    bool
+    parseDurable(const OptionParser &opts)
+    {
+        storeDir = opts.getString("store");
+        uint64_t retriesRaw = opts.getCount("retries");
+        if (retriesRaw < 1 || retriesRaw > kMaxRetries)
+            return reject(detail::format(
+                "--retries must be in [1, %llu] (got %llu)",
+                static_cast<unsigned long long>(kMaxRetries),
+                static_cast<unsigned long long>(retriesRaw)));
+        retries = static_cast<unsigned>(retriesRaw);
+        runTimeoutSeconds = opts.getDouble("run-timeout");
+        if (runTimeoutSeconds < 0.0)
+            return reject(detail::format("--run-timeout must be "
+                                         "non-negative seconds (got %g)",
+                                         runTimeoutSeconds));
+        std::string injectError;
+        if (opts.wasSet("fault-inject")) {
+            if (!FaultInjector::parse(opts.getString("fault-inject"),
+                                      injector, &injectError))
+                return reject("--fault-inject: " + injectError);
+        } else if (!FaultInjector::fromEnv(injector, &injectError)) {
+            return reject(std::string(kFaultInjectEnv) + ": " +
+                          injectError);
+        }
+        // The store keeps exactly one record per run key and serves it
+        // verbatim; side-channel timeseries, heatmap and choice-log
+        // rows would not survive a rerun byte-identically.
+        if (!storeDir.empty() && observing())
+            return reject("--sample-interval/--heatmap cannot be combined "
+                          "with --store (observation rows are not stored; "
+                          "a rerun would drop them)");
+        if (!storeDir.empty() && adaptiveArmed())
+            return reject("--adaptive cannot be combined with --store "
+                          "(choice-log rows are not stored; a rerun would "
+                          "drop them)");
+        return true;
+    }
+
     static bool
     wantedHelp(int argc, const char *const *argv)
     {

@@ -10,21 +10,25 @@
  *   ./build/bench/bench_suite --json out.json
  *   ./build/bench/bench_suite                 # writes BENCH_results.json
  *
+ * The grid, the Table-4 classification and the adaptive column run as
+ * one runSweep, so each (benchmark, runSeed) stream is recorded once:
+ * the grid's own Optimistic/no-prefetch runs carry the taxonomy.
+ *
  * The output is what `BENCH_*.json` trajectory tracking consumes: 130
- * records whose counters are bit-reproducible for a given budget and
- * seed, with only the `timing` member varying between machines.
+ * run records plus 26 adaptive records whose counters are
+ * bit-reproducible for a given budget and seed, with only the
+ * `timing` member varying between machines.
  */
 
 #include <cstdio>
+#include <span>
 #include <utility>
 
 #include "adaptive/oracle.hh"
 #include "bench_support.hh"
-#include "core/miss_classifier.hh"
 #include "fault/resilient_sweep.hh"
 #include "fault/result_store.hh"
 #include "util/logging.hh"
-#include "workload/workload.hh"
 
 using namespace specfetch;
 using namespace specfetch::bench;
@@ -41,7 +45,9 @@ constexpr uint64_t kSuiteBudget = 500'000;
  * completes, failing runs are quarantined, and a killed sweep resumes
  * by simply running again. Records deliberately omit the timing
  * member (the lone nondeterministic part), so an interrupted + rerun
- * sweep's JSONL output is byte-identical to a clean one.
+ * sweep's JSONL output is byte-identical to a clean one. The records'
+ * Table-4 taxonomy comes from a classification pre-pass, one armed
+ * runSweep over the profiles.
  */
 int
 runStored(const std::vector<RunSpec> &specs,
@@ -139,6 +145,10 @@ constexpr unsigned kAdaptivePenalty = 8;
 /** Exploration rate of the column's bandit runs. */
 constexpr double kAdaptiveEpsilon = 0.05;
 
+/** The column's online selectors, in table order. */
+constexpr SelectorKind kSelectors[] = {SelectorKind::Threshold,
+                                       SelectorKind::Bandit};
+
 /**
  * The adaptive column of the grid (DESIGN.md §12): per profile, the
  * per-interval Oracle bound assembled from sampled static runs, plus
@@ -153,51 +163,52 @@ constexpr double kAdaptiveEpsilon = 0.05;
  * the selectors see the same machine) runs at its own operating
  * point: kAdaptivePenalty, kAdaptiveInterval and a fixed 500K budget,
  * independent of the grid's --budget knob so the exported regret rows
- * are comparable across suite invocations.
+ * are comparable across suite invocations. Its specs join the suite's
+ * one sweep: appendAdaptiveColumn adds them to the plan, and
+ * reportAdaptiveColumn reads their results back.
  */
 void
-runAdaptiveColumn(const std::vector<std::string> &names,
-                  const SimConfig &grid)
+appendAdaptiveColumn(std::vector<RunSpec> &plan,
+                     const std::vector<std::string> &names,
+                     const SimConfig &grid)
 {
-    const std::vector<FetchPolicy> &policies = allPolicies();
-
     SimConfig base = grid;
     base.instructionBudget = kSuiteBudget;
     base.missPenaltyCycles = kAdaptivePenalty;
 
     // Sampled static runs: the oracle's raw material.
-    std::vector<RunSpec> staticSpecs;
-    staticSpecs.reserve(names.size() * policies.size());
     for (const std::string &name : names) {
-        for (FetchPolicy policy : policies) {
+        for (FetchPolicy policy : allPolicies()) {
             SimConfig config = base;
             config.policy = policy;
             config.sampleInterval = kAdaptiveInterval;
-            staticSpecs.push_back(RunSpec{name, config});
+            plan.push_back(RunSpec{name, config});
         }
     }
-    std::vector<RunObservations> staticObs;
-    std::vector<SimResults> staticResults = runSweep(
-        staticSpecs, benchMain().parallelism, nullptr, &staticObs);
-
     // The online selectors, from the same Resume starting policy.
-    const SelectorKind kinds[] = {SelectorKind::Threshold,
-                                  SelectorKind::Bandit};
-    std::vector<RunSpec> adaptiveSpecs;
-    adaptiveSpecs.reserve(names.size() * 2);
     for (const std::string &name : names) {
-        for (SelectorKind kind : kinds) {
+        for (SelectorKind kind : kSelectors) {
             SimConfig config = base;
             config.policy = FetchPolicy::Resume;
             config.adaptiveSelector = kind;
             config.adaptiveInterval = kAdaptiveInterval;
             config.adaptiveEpsilon = kAdaptiveEpsilon;
-            adaptiveSpecs.push_back(RunSpec{name, config});
+            plan.push_back(RunSpec{name, config});
         }
     }
-    std::vector<RunObservations> adaptiveObs;
-    std::vector<SimResults> adaptiveResults = runSweep(
-        adaptiveSpecs, benchMain().parallelism, nullptr, &adaptiveObs);
+}
+
+/** Export and tabulate the column whose specs start at plan[@p begin]. */
+void
+reportAdaptiveColumn(const std::vector<std::string> &names,
+                     const std::vector<RunSpec> &plan,
+                     const std::vector<SimResults> &results,
+                     std::vector<RunObservations> &observations,
+                     size_t begin)
+{
+    const std::vector<FetchPolicy> &policies = allPolicies();
+    const size_t selectorBegin = begin + names.size() * policies.size();
+    const size_t kinds = std::size(kSelectors);
 
     TextTable table;
     table.setColumns({"workload", "best static", "oracle", "thresh",
@@ -206,9 +217,9 @@ runAdaptiveColumn(const std::vector<std::string> &names,
         std::vector<std::vector<EpochRecord>> epochs;
         std::vector<double> staticIspi;
         for (size_t p = 0; p < policies.size(); ++p) {
-            size_t i = b * policies.size() + p;
-            epochs.push_back(std::move(staticObs[i].epochs));
-            staticIspi.push_back(staticResults[i].ispi());
+            size_t i = begin + b * policies.size() + p;
+            epochs.push_back(std::move(observations[i].epochs));
+            staticIspi.push_back(results[i].ispi());
         }
         PerIntervalOracle oracle =
             buildPerIntervalOracle(policies, std::move(epochs),
@@ -217,14 +228,12 @@ runAdaptiveColumn(const std::vector<std::string> &names,
 
         double columnIspi[2] = {0.0, 0.0};
         double columnGap[2] = {0.0, 0.0};
-        for (size_t k = 0; k < 2; ++k) {
-            size_t i = b * 2 + k;
-            AdaptiveRegret regret =
-                computeRegret(adaptiveResults[i].ispi(), oracle);
+        for (size_t k = 0; k < kinds; ++k) {
+            size_t i = selectorBegin + b * kinds + k;
+            AdaptiveRegret regret = computeRegret(results[i].ispi(), oracle);
             benchMain().json->write(
-                makeAdaptiveRecord(adaptiveObs[i].adaptive,
-                                   adaptiveResults[i],
-                                   adaptiveSpecs[i].config, &regret));
+                makeAdaptiveRecord(observations[i].adaptive, results[i],
+                                   plan[i].config, &regret));
             columnIspi[k] = regret.adaptiveIspi;
             columnGap[k] = 100.0 * regret.gapClosed;
         }
@@ -251,7 +260,7 @@ main(int argc, char **argv)
 {
     if (!benchMain().parse(argc, argv, "bench_suite",
                            "full policy/prefetch grid with JSONL export",
-                           kSuiteBudget)) {
+                           kSuiteBudget, /*durable=*/true)) {
         return parseExitCode();
     }
     if (!benchMain().json && !benchMain().openJson("BENCH_results.json"))
@@ -266,66 +275,75 @@ main(int argc, char **argv)
 
     const auto &names = benchmarkNames();
 
-    // One Table-4 classification per profile (policy-independent), so
-    // every record of that profile can carry the taxonomy.
-    std::vector<Classification> classifications;
-    classifications.reserve(names.size());
-    for (const std::string &name : names) {
-        Workload w = buildWorkload(getProfile(name));
-        classifications.push_back(classifyMisses(w, base));
-    }
-
     // Profile-major, policy-minor, prefetch-innermost grid.
-    std::vector<RunSpec> specs;
-    specs.reserve(names.size() * allPolicies().size() * 2);
+    std::vector<RunSpec> plan;
     for (const std::string &name : names) {
         for (FetchPolicy policy : allPolicies()) {
             for (bool prefetch : {false, true}) {
                 SimConfig config = base;
                 config.policy = policy;
                 config.nextLinePrefetch = prefetch;
-                specs.push_back(RunSpec{name, config});
+                plan.push_back(RunSpec{name, config});
             }
         }
     }
+    const size_t gridSize = plan.size();
+    const size_t perProfile = allPolicies().size() * 2;
 
-    if (!benchMain().storeDir.empty()) {
-        return runStored(specs, classifications,
-                         allPolicies().size() * 2);
-    }
+    if (!benchMain().storeDir.empty())
+        return runStored(plan, classifyProfiles(names, base), perProfile);
     if (!benchMain().injector.empty()) {
         warn("fault injection is active but no --store was given; "
              "directives are ignored in the unguarded path");
     }
 
-    benchMain().applyObsConfig(specs);
-    benchMain().applyAdaptiveConfig(specs);
-    benchMain().beginProgress(specs.size());
+    // The one plan: the grid, then the adaptive column, in a single
+    // runSweep. The grid's Optimistic/no-prefetch runs carry the
+    // Table-4 taxonomy; --adaptive makes them adaptive, so then plain
+    // classification runs of the same streams join the plan instead.
+    benchMain().applyObsConfig(plan);
+    benchMain().applyAdaptiveConfig(plan);
+    if (benchMain().adaptiveArmed()) {
+        for (const std::string &name : names)
+            plan.push_back(classificationSpec(name, base));
+    } else {
+        for (RunSpec &spec : plan) {
+            spec.classify = spec.config.policy == FetchPolicy::Optimistic &&
+                !spec.config.nextLinePrefetch;
+        }
+    }
+    const size_t columnBegin = plan.size();
+    appendAdaptiveColumn(plan, names, base);
+
+    benchMain().beginProgress(plan.size());
     SweepTiming timing;
     std::vector<RunObservations> observations;
-    bool collect =
-        benchMain().observing() || benchMain().adaptiveArmed();
     std::vector<SimResults> results =
-        runSweep(specs, benchMain().parallelism, &timing,
-                 collect ? &observations : nullptr);
+        runSweep(plan, benchMain().parallelism, &timing, &observations);
     benchMain().endProgress();
 
-    for (size_t i = 0; i < specs.size(); ++i) {
+    // One taxonomy per profile, in profile order.
+    std::vector<Classification> classifications;
+    for (size_t i = 0; i < plan.size(); ++i) {
+        if (plan[i].classify)
+            classifications.push_back(*observations[i].classification);
+    }
+
+    for (size_t i = 0; i < gridSize; ++i) {
         RunTiming rt;
         rt.runSeconds = timing.perRunSeconds[i];
         rt.workloadBuildSeconds = timing.workloadBuildSeconds;
         rt.snapshotRecordSeconds = timing.snapshotRecordSeconds;
         rt.sweepTotalSeconds = timing.totalSeconds;
-        size_t profileIndex = i / (allPolicies().size() * 2);
-        benchMain().emit(makeRunRecord(results[i], specs[i].config, &rt,
-                                       &classifications[profileIndex]));
+        benchMain().emit(makeRunRecord(results[i], plan[i].config, &rt,
+                                       &classifications[i / perProfile]));
     }
-    benchMain().emitObservations(specs, results, observations);
+    benchMain().emitObservations(std::span(plan).first(gridSize),
+                                 results, observations);
 
     // Human-readable digest: suite-average ISPI per (policy, prefetch).
     TextTable table;
     table.setColumns({"policy", "ISPI", "ISPI+pref", "pref delta%"});
-    size_t perProfile = allPolicies().size() * 2;
     for (size_t p = 0; p < allPolicies().size(); ++p) {
         double off = 0.0, on = 0.0;
         for (size_t b = 0; b < names.size(); ++b) {
@@ -343,13 +361,13 @@ main(int argc, char **argv)
     }
     emitTable(table);
 
-    runAdaptiveColumn(names, base);
+    reportAdaptiveColumn(names, plan, results, observations, columnBegin);
 
-    std::printf("\n%zu runs in %.2fs (workload build %.2fs, "
-                "snapshot record %.2fs); %zu records -> %s\n",
-                specs.size(), timing.totalSeconds,
-                timing.workloadBuildSeconds,
-                timing.snapshotRecordSeconds,
+    std::printf("\n%zu runs in one sweep, %zu streams recorded, in %.2fs "
+                "(workload build %.2fs, snapshot record %.2fs); "
+                "%zu records -> %s\n",
+                plan.size(), timing.snapshotsRecorded, timing.totalSeconds,
+                timing.workloadBuildSeconds, timing.snapshotRecordSeconds,
                 benchMain().json->recordsWritten(),
                 benchMain().json->path().c_str());
     return 0;

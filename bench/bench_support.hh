@@ -14,6 +14,7 @@
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/csv.hh"
@@ -101,6 +102,39 @@ mean(const std::vector<double> &values)
         return 0.0;
     return std::accumulate(values.begin(), values.end(), 0.0) /
            static_cast<double>(values.size());
+}
+
+/**
+ * The Table-4 run of @p benchmark: @p base under Optimistic without
+ * prefetching, with the miss classifier armed.
+ */
+inline RunSpec
+classificationSpec(const std::string &benchmark, const SimConfig &base)
+{
+    RunSpec spec{benchmark, base, true};
+    spec.config.policy = FetchPolicy::Optimistic;
+    spec.config.nextLinePrefetch = false;
+    return spec;
+}
+
+/**
+ * Table-4 classification of every named profile: one armed runSweep,
+ * so each profile's stream is recorded once and the runs share the
+ * harness's workers.
+ */
+inline std::vector<Classification>
+classifyProfiles(const std::vector<std::string> &benchmarks,
+                 const SimConfig &base)
+{
+    std::vector<RunSpec> specs;
+    for (const std::string &benchmark : benchmarks)
+        specs.push_back(classificationSpec(benchmark, base));
+    std::vector<RunObservations> observations;
+    runSweep(specs, benchMain().parallelism, nullptr, &observations);
+    std::vector<Classification> out;
+    for (RunObservations &obs : observations)
+        out.push_back(std::move(*obs.classification));
+    return out;
 }
 
 /**

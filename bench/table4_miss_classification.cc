@@ -8,9 +8,7 @@
 #include <cstdio>
 
 #include "bench_support.hh"
-#include "core/miss_classifier.hh"
 #include "paper_data.hh"
-#include "workload/workload.hh"
 
 using namespace specfetch;
 using namespace specfetch::bench;
@@ -33,9 +31,10 @@ main(int argc, char **argv)
 
     std::vector<double> bm, spo, spr, wp, tr;
     const auto &names = benchmarkNames();
+    std::vector<Classification> classifications =
+        classifyProfiles(names, config);
     for (size_t i = 0; i < names.size(); ++i) {
-        Workload w = buildWorkload(getProfile(names[i]));
-        Classification c = classifyMisses(w, config);
+        const Classification &c = classifications[i];
         if (benchMain().exporting())
             benchMain().emit(makeClassificationRecord(c, config));
         const paper::Table4Row &p = paper::kTable4[i];

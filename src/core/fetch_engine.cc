@@ -44,7 +44,6 @@ FetchEngine::FetchEngine(const SimConfig &_config, const ProgramImage &_image)
         sampler = std::make_unique<IntervalSampler>(config.sampleInterval);
     if (config.setHeatmap)
         heatmap = std::make_unique<SetHeatmap>(config.icache);
-    basePolicy = config.policy;
     if (config.adaptiveSelector != SelectorKind::Off) {
         selector = makeSelector(config);
         adaptiveTicker =
@@ -59,45 +58,15 @@ FetchEngine::FetchEngine(const SimConfig &_config, const ProgramImage &_image)
 FetchEngine::~FetchEngine() = default;
 
 void
-FetchEngine::setObserver(AccessObserver *obs)
+FetchEngine::armClassifier()
 {
-    observer = obs;
-    walker.setObserver(obs);
+    requireClassifiable(config);
+    classifier = std::make_unique<MissClassifier>(config.icache);
+    walker.setClassifier(classifier.get());
 }
 
 void
-FetchEngine::reset()
-{
-    predictor = BranchPredictor(config.predictor);
-    cache.reset();
-    bus.reset();
-    resumeBuffer.clear();
-    hierarchy.reset();
-    victimCache.reset();
-    prefetcher.reset();
-    branchUnit.reset();
-    pendingResolves.clear();
-    now = 0;
-    lastIssue = -1;
-    curLine = kNoLine;
-    stats = SimResults{};
-    prefetchBaseline = prefetcher.issuedCount();
-    statsBaseSlot = now;
-    busBaseline = bus.transactions.value();
-    if (heatmap)
-        heatmap->reset();
-    // A previous adaptive run may have left config.policy on whatever
-    // the selector last chose; a reset run starts over from the base.
-    config.policy = basePolicy;
-    if (selector) {
-        selector->reset();
-        adaptiveLog = AdaptiveLog{};
-    }
-    walker.setStats(&stats);
-}
-
-void
-FetchEngine::takeObservations(RunObservations &out)
+FetchEngine::takeObservations(RunObservations &out, const SimResults &run)
 {
     if (sampler) {
         out.epochs = sampler->takeEpochs();
@@ -109,6 +78,10 @@ FetchEngine::takeObservations(RunObservations &out)
         adaptiveLog = AdaptiveLog{};
     }
     walker.setHeatmap(nullptr);
+    if (classifier) {
+        out.classification =
+            classifier->handOver(run, bus.transactions.value(), config);
+    }
 }
 
 void
@@ -219,8 +192,8 @@ FetchEngine::handleLineAccess(Addr line_addr)
     if (heatmap)
         heatmap->demandAccess(line_addr);
     if (cache.access(line_addr)) [[likely]] {
-        if (observer)
-            observer->onCorrectAccess(line_addr, true);
+        if (classifier)
+            classifier->correctAccess(line_addr, true);
         maybePrefetch<PF>(line_addr);
         return;
     }
@@ -261,8 +234,8 @@ FetchEngine::handleLineMiss(Addr line_addr)
 
     if (buffer_hit) {
         ++stats.bufferHits;
-        if (observer)
-            observer->onCorrectAccess(line_addr, true);
+        if (classifier)
+            classifier->correctAccess(line_addr, true);
         maybePrefetch<PF>(line_addr);
         return;
     }
@@ -275,8 +248,8 @@ FetchEngine::handleLineMiss(Addr line_addr)
                   PenaltyKind::RtIcache);
         cache.insert(line_addr);    // displaced line spills back
         ++stats.bufferHits;
-        if (observer)
-            observer->onCorrectAccess(line_addr, true);
+        if (classifier)
+            classifier->correctAccess(line_addr, true);
         maybePrefetch<PF>(line_addr);
         return;
     }
@@ -285,8 +258,8 @@ FetchEngine::handleLineMiss(Addr line_addr)
     ++stats.demandMisses;
     if (heatmap)
         heatmap->demandMiss(line_addr);
-    if (observer)
-        observer->onCorrectAccess(line_addr, false);
+    if (classifier)
+        classifier->correctAccess(line_addr, false);
 
     // Conservative policies tax the miss before it may be serviced.
     // With a static policy slot the switch folds to either nothing or

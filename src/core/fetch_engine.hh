@@ -27,6 +27,7 @@
 #include "cache/victim_cache.hh"
 #include "core/branch_unit.hh"
 #include "core/config.hh"
+#include "core/miss_classifier.hh"
 #include "core/results.hh"
 #include "core/wrong_path_walker.hh"
 #include "isa/program_image.hh"
@@ -44,7 +45,7 @@ class SnapshotReplaySource;
 
 /**
  * One simulated front end. Construct per run (state is not reusable
- * across runs unless reset() is called).
+ * across runs).
  */
 class FetchEngine
 {
@@ -56,8 +57,11 @@ class FetchEngine
     FetchEngine(const SimConfig &config, const ProgramImage &image);
     ~FetchEngine();
 
-    /** Attach a lockstep observer (miss classification). */
-    void setObserver(AccessObserver *obs);
+    /**
+     * Arm the Table-4 collector (MissClassifier) for this run; fatal
+     * unless the config passes requireClassifiable.
+     */
+    void armClassifier();
 
     /**
      * Run until the configured instruction budget is retired or the
@@ -74,21 +78,14 @@ class FetchEngine
      */
     SimResults run(InstructionSource &source);
 
-    /** Reset all machine state (cache, predictor, clocks, stats). */
-    void reset();
-
     /**
      * Move whatever the armed collectors gathered (epoch series,
-     * heatmap) out of the engine. Call after run(); a disarmed engine
-     * yields an empty object.
+     * heatmap, Table-4 taxonomy) out of the engine. Call after run()
+     * with the (labelled) results it returned: the classifier hands
+     * its taxonomy over against them. A disarmed engine yields an
+     * empty object.
      */
-    void takeObservations(RunObservations &out);
-
-    /** @name Component access for tests @{ */
-    const ICache &icache() const { return cache; }
-    const BranchPredictor &branchPredictor() const { return predictor; }
-    const MemoryBus &memoryBus() const { return bus; }
-    /** @} */
+    void takeObservations(RunObservations &out, const SimResults &run);
 
   private:
     /**
@@ -262,9 +259,6 @@ class FetchEngine
     /** Non-null iff config.setHeatmap (src/obs). */
     std::unique_ptr<SetHeatmap> heatmap;
     /** @name Adaptive selection (src/adaptive) @{ */
-    /** The configured base policy; runWith mutates config.policy at
-     *  epoch boundaries and reset() restores it from here. */
-    FetchPolicy basePolicy;
     /** Non-null iff config.adaptiveSelector != Off. */
     std::unique_ptr<PolicySelector> selector;
     /** Epoch ticker of the decision point: reuses the interval
@@ -272,7 +266,8 @@ class FetchEngine
     std::unique_ptr<IntervalSampler> adaptiveTicker;
     AdaptiveLog adaptiveLog;
     /** @} */
-    AccessObserver *observer = nullptr;
+    /** Non-null iff armClassifier() was called. */
+    std::unique_ptr<MissClassifier> classifier;
 };
 
 } // namespace specfetch

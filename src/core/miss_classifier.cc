@@ -1,11 +1,11 @@
 #include "core/miss_classifier.hh"
 
+#include <utility>
+
 #include "check/invariant.hh"
-#include "core/fetch_engine.hh"
+#include "core/simulator.hh"
 #include "stats/stats.hh"
-#include "trace/snapshot.hh"
 #include "util/logging.hh"
-#include "workload/executor.hh"
 
 namespace specfetch {
 
@@ -39,44 +39,38 @@ Classification::trafficRatio() const
     return ratioOf(optimisticMisses(), oracleMisses());
 }
 
-namespace {
-
-/** The lockstep oracle-shadow observer. */
-class ShadowObserver : public AccessObserver
+Classification
+MissClassifier::handOver(const SimResults &run, uint64_t bus_transactions,
+                         const SimConfig &config) const
 {
-  public:
-    explicit ShadowObserver(const ICacheConfig &geometry)
-        : oracle(geometry)
-    {
+    Classification out = counts;
+    out.workload = run.workload;
+    out.instructions = run.instructions;
+    if (config.checkLevel != CheckLevel::Off) {
+        InvariantAuditor auditor(config.checkLevel);
+        auditClassification(out, run, bus_transactions, auditor);
+        if (!auditor.clean()) {
+            auditor.emitReport(config);
+            panic("Table 4 conservation violated for workload '%s': %s",
+                  out.workload.c_str(),
+                  auditor.violations().front().detail.c_str());
+        }
     }
+    return out;
+}
 
-    void
-    onCorrectAccess(Addr line_addr, bool policy_hit) override
-    {
-        bool oracle_hit = oracle.access(line_addr);
-        if (!oracle_hit)
-            oracle.insert(line_addr);
-
-        if (!oracle_hit && !policy_hit)
-            ++bothMiss;
-        else if (oracle_hit && !policy_hit)
-            ++specPollute;
-        else if (!oracle_hit && policy_hit)
-            ++specPrefetch;
+void
+requireClassifiable(const SimConfig &config)
+{
+    if (config.policy != FetchPolicy::Optimistic ||
+        config.effectivePrefetchKind() != PrefetchKind::None ||
+        config.warmupInstructions != 0 ||
+        config.adaptiveSelector != SelectorKind::Off) {
+        fatal("the miss classifier needs an Optimistic run without "
+              "prefetch, warmup or selector, not: %s",
+              config.describe().c_str());
     }
-
-    void onWrongPathMiss(Addr) override { ++wrongPath; }
-
-    uint64_t bothMiss = 0;
-    uint64_t specPollute = 0;
-    uint64_t specPrefetch = 0;
-    uint64_t wrongPath = 0;
-
-  private:
-    ICache oracle;
-};
-
-} // namespace
+}
 
 Classification
 classifyMisses(const Workload &workload, const SimConfig &config,
@@ -86,41 +80,19 @@ classifyMisses(const Workload &workload, const SimConfig &config,
     cfg.policy = FetchPolicy::Optimistic;
     cfg.nextLinePrefetch = false;
     cfg.prefetchKind = PrefetchKind::None;
-    // The shadow observer counts from the first access; a warmup
-    // would desynchronize its counts from the stats denominator.
     cfg.warmupInstructions = 0;
+    cfg.adaptiveSelector = SelectorKind::Off;
 
-    ShadowObserver shadow(cfg.icache);
-    FetchEngine engine(cfg, workload.image);
-    engine.setObserver(&shadow);
-    Executor executor(workload.cfg, cfg.runSeed);
-    SnapshotReplaySource source(executor, cfg.streamInstructions());
-    SimResults results = engine.run(source);
-
-    Classification out;
-    out.workload = workload.profile.name;
-    out.instructions = results.instructions;
-    out.bothMiss = shadow.bothMiss;
-    out.specPollute = shadow.specPollute;
-    out.specPrefetch = shadow.specPrefetch;
-    out.wrongPath = shadow.wrongPath;
-
-    if (cfg.checkLevel != CheckLevel::Off) {
-        InvariantAuditor auditor(cfg.checkLevel);
-        auditClassification(out, results,
-                            engine.memoryBus().transactions.value(),
-                            auditor);
-        if (!auditor.clean()) {
-            auditor.emitReport(cfg);
-            panic("Table 4 conservation violated for workload '%s': %s",
-                  out.workload.c_str(),
-                  auditor.violations().front().detail.c_str());
-        }
-    }
-
-    if (timed_results)
+    RunObservations observations;
+    SimResults results = runSimulation(workload, cfg, observations, true);
+    if (timed_results) {
         *timed_results = results;
-    return out;
+        // Empty, as it has always been: specbench's stored counter
+        // digests hash this label, so filling it waits for a change
+        // to the benchmark.
+        timed_results->workload.clear();
+    }
+    return std::move(*observations.classification);
 }
 
 } // namespace specfetch

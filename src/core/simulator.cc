@@ -15,9 +15,12 @@ namespace {
  */
 SimResults
 simulate(const Workload &workload, const SimConfig &config,
-         const TraceSnapshot *snapshot, RunObservations *observations)
+         const TraceSnapshot *snapshot, RunObservations *observations,
+         bool classify = false)
 {
     FetchEngine engine(config, workload.image);
+    if (classify)
+        engine.armClassifier();
     SimResults results;
     if (snapshot) {
         SnapshotReplaySource source(*snapshot);
@@ -27,9 +30,9 @@ simulate(const Workload &workload, const SimConfig &config,
         SnapshotReplaySource source(executor, config.streamInstructions());
         results = engine.run(source);
     }
-    if (observations)
-        engine.takeObservations(*observations);
     results.workload = workload.profile.name;
+    if (observations)
+        engine.takeObservations(*observations, results);
     return results;
 }
 
@@ -50,16 +53,17 @@ runSimulation(const Workload &workload, const SimConfig &config,
 
 SimResults
 runSimulation(const Workload &workload, const SimConfig &config,
-              RunObservations &observations)
+              RunObservations &observations, bool classify)
 {
-    return simulate(workload, config, nullptr, &observations);
+    return simulate(workload, config, nullptr, &observations, classify);
 }
 
 SimResults
 runSimulation(const Workload &workload, const SimConfig &config,
-              const TraceSnapshot &snapshot, RunObservations &observations)
+              const TraceSnapshot &snapshot, RunObservations &observations,
+              bool classify)
 {
-    return simulate(workload, config, &snapshot, &observations);
+    return simulate(workload, config, &snapshot, &observations, classify);
 }
 
 SimResults

@@ -42,15 +42,19 @@ SimResults runSimulation(const Workload &workload, const SimConfig &config,
  * @name Observing variants
  * Identical results to the overloads above; additionally fill
  * @p observations with whatever collectors the config armed
- * (sampleInterval > 0 and/or setHeatmap). With no collector armed
+ * (sampleInterval > 0 and/or setHeatmap) and, when @p classify is
+ * set, with the run's Table-4 taxonomy (MissClassifier; the config
+ * must pass requireClassifiable). With no collector armed
  * @p observations comes back empty. @{
  */
 SimResults runSimulation(const Workload &workload, const SimConfig &config,
-                         RunObservations &observations);
+                         RunObservations &observations,
+                         bool classify = false);
 
 SimResults runSimulation(const Workload &workload, const SimConfig &config,
                          const TraceSnapshot &snapshot,
-                         RunObservations &observations);
+                         RunObservations &observations,
+                         bool classify = false);
 /** @} */
 
 /**

@@ -251,6 +251,8 @@ runStreamMajor(const std::vector<RunSpec> &specs, unsigned parallelism,
         timing->totalSeconds = secondsSince(sweepStart);
         for (double seconds : recordSeconds)
             timing->snapshotRecordSeconds += seconds;
+        for (const SweepStream &stream : streams)
+            timing->snapshotsRecorded += stream.shared;
         timing->peakLiveSnapshots = peakLive;
     }
     return workloads;
@@ -392,12 +394,34 @@ runOneGuarded(const Workload &workload, const RunSpec &spec,
     return out;
 }
 
+/**
+ * Fail (fatal) before any work when a spec arms the classifier where
+ * its taxonomy could not be returned (@p returned false) or on a run
+ * it is not defined for.
+ */
+void
+requireClassifierArms(const std::vector<RunSpec> &specs, bool returned,
+                      const char *entry)
+{
+    for (const RunSpec &spec : specs) {
+        if (!spec.classify)
+            continue;
+        if (!returned) {
+            fatal("%s: a spec of %s arms the miss classifier, but the "
+                  "sweep returns no observations",
+                  entry, spec.benchmark.c_str());
+        }
+        requireClassifiable(spec.config);
+    }
+}
+
 } // namespace
 
 std::vector<SimResults>
 runSweep(const std::vector<RunSpec> &specs, unsigned parallelism,
          SweepTiming *timing, std::vector<RunObservations> *observations)
 {
+    requireClassifierArms(specs, observations != nullptr, "runSweep");
     if (observations) {
         observations->clear();
         observations->resize(specs.size());
@@ -417,8 +441,10 @@ runSweep(const std::vector<RunSpec> &specs, unsigned parallelism,
             if (observations) {
                 RunObservations &obs = (*observations)[index];
                 results[index] = snapshot
-                    ? runSimulation(workload, spec.config, *snapshot, obs)
-                    : runSimulation(workload, spec.config, obs);
+                    ? runSimulation(workload, spec.config, *snapshot, obs,
+                                    spec.classify)
+                    : runSimulation(workload, spec.config, obs,
+                                    spec.classify);
             } else {
                 results[index] = snapshot
                     ? runSimulation(workload, spec.config, *snapshot)
@@ -437,6 +463,7 @@ SweepOutcome
 runSweepGuarded(const std::vector<RunSpec> &specs, const SweepGuard &guard,
                 unsigned parallelism, SweepTiming *timing)
 {
+    requireClassifierArms(specs, false, "runSweepGuarded");
     SweepOutcome outcome;
     outcome.results.resize(specs.size());
     outcome.completed.assign(specs.size(), 0);

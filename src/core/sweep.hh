@@ -25,6 +25,14 @@ struct RunSpec
 {
     std::string benchmark;
     SimConfig config;
+    /**
+     * Arm the Table-4 collector (MissClassifier): the run's
+     * observations carry its classification. The config must pass
+     * requireClassifiable, and the sweep must be a runSweep given
+     * observations. Not part of SimConfig: classifying never changes
+     * a run's results, manifest or run key.
+     */
+    bool classify = false;
 };
 
 /**
@@ -48,6 +56,8 @@ struct SweepTiming
     double totalSeconds = 0.0;
     /** Per-spec simulation seconds, in submission order. */
     std::vector<double> perRunSeconds;
+    /** Shared snapshots recorded (one per shared stream). */
+    size_t snapshotsRecorded = 0;
     /** Most shared snapshots alive at once (at most workers + 2);
      *  not exported to run records. */
     size_t peakLiveSnapshots = 0;
@@ -83,8 +93,10 @@ constexpr uint64_t kSweepSnapshotMaxInstructions = 64'000'000;
  *                     per-spec wall-clock times.
  * @param observations When non-null, resized to specs.size() and
  *                     filled with each run's armed-collector output
- *                     (src/obs), in submission order — identical at
- *                     any parallelism.
+ *                     (src/obs, and the classification of specs that
+ *                     set RunSpec::classify), in submission order —
+ *                     identical at any parallelism. Required when any
+ *                     spec sets classify; a missing one is fatal.
  */
 std::vector<SimResults>
 runSweep(const std::vector<RunSpec> &specs, unsigned parallelism = 0,
@@ -164,7 +176,9 @@ struct SweepOutcome
  * and the sweep carries on.
  *
  * Completed runs are bit-identical to an unguarded sweep's — the
- * guard only adds recovery, never perturbs simulation state.
+ * guard only adds recovery, never perturbs simulation state. It
+ * returns no observations, so a spec that sets RunSpec::classify is
+ * fatal here.
  */
 SweepOutcome runSweepGuarded(const std::vector<RunSpec> &specs,
                              const SweepGuard &guard,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/miss_classifier.hh"
 #include "obs/set_heatmap.hh"
 
 namespace specfetch {
@@ -114,10 +115,8 @@ WrongPathWalker::walk(Addr start_pc, Slot from, Slot window_end,
                 Slot done = bus.acquire(start, hierarchy.fillSlots(line));
                 if (stats)
                     ++stats->wrongFills;
-                // Virtual per wrong-path *fill*, not per instruction,
-                // and only the miss classifier attaches an observer.
-                if (observer)
-                    observer->onWrongPathMiss(line); // lint: allow(loop-virtual)
+                if (classifier)
+                    classifier->wrongPathFill();
 
                 if (policy == FetchPolicy::Resume) {
                     // "Storing the line in the cache will take place

@@ -38,25 +38,8 @@
 
 namespace specfetch {
 
+class MissClassifier;
 class SetHeatmap;
-
-/** Notifications for lockstep analyses (the miss classifier). */
-class AccessObserver
-{
-  public:
-    virtual ~AccessObserver() = default;
-
-    /**
-     * A correct-path line access completed.
-     * @param line_addr  The line.
-     * @param policy_hit Whether the policy's cache (plus buffers)
-     *                   supplied it without a memory fill.
-     */
-    virtual void onCorrectAccess(Addr line_addr, bool policy_hit) = 0;
-
-    /** A wrong-path miss was serviced (a fill went to memory). */
-    virtual void onWrongPathMiss(Addr line_addr) = 0;
-};
 
 /**
  * Walks wrong paths on behalf of the fetch engine. Stateless across
@@ -86,8 +69,9 @@ class WrongPathWalker
     {
     }
 
-    void setObserver(AccessObserver *obs) { observer = obs; }
     void setStats(SimResults *s) { stats = s; }
+    /** Attach the Table-4 collector (null = off). */
+    void setClassifier(MissClassifier *c) { classifier = c; }
     /** Attach the per-set heatmap collector (null = off). */
     void setHeatmap(SetHeatmap *map) { heatmap = map; }
 
@@ -128,7 +112,7 @@ class WrongPathWalker
     PrefetchUnit *prefetcher;
     VictimCache *victimCache = nullptr;
     Slot victimHitSlots = 0;
-    AccessObserver *observer = nullptr;
+    MissClassifier *classifier = nullptr;
     SimResults *stats = nullptr;
     SetHeatmap *heatmap = nullptr;
 };

@@ -184,281 +184,6 @@ toJson(const SimConfig &config)
     return manifest;
 }
 
-namespace {
-
-bool
-indexingFromName(const std::string &name, PhtIndexing &out)
-{
-    if (name == "gshare") {
-        out = PhtIndexing::Gshare;
-    } else if (name == "global") {
-        out = PhtIndexing::GlobalOnly;
-    } else if (name == "pc") {
-        out = PhtIndexing::PcOnly;
-    } else if (name == "local") {
-        out = PhtIndexing::Local;
-    } else if (name == "combining") {
-        out = PhtIndexing::Combining;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-bool
-prefetchKindFromName(const std::string &name, PrefetchKind &out)
-{
-    for (PrefetchKind kind :
-         {PrefetchKind::None, PrefetchKind::NextLine, PrefetchKind::Target,
-          PrefetchKind::Combined, PrefetchKind::Stream}) {
-        if (name == toString(kind)) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Collects the first manifest-parse failure; later sets are no-ops. */
-struct ParseFailure
-{
-    std::string message;
-    bool failed = false;
-
-    bool
-    fail(const std::string &why)
-    {
-        if (!failed) {
-            message = why;
-            failed = true;
-        }
-        return false;
-    }
-};
-
-bool
-readUint(const JsonValue &value, const char *name, uint64_t &dst,
-         ParseFailure &failure)
-{
-    if (!value.isUint()) {
-        return failure.fail(std::string("config.") + name +
-                            " must be an unsigned integer");
-    }
-    dst = value.asUint();
-    return true;
-}
-
-bool
-readUnsigned(const JsonValue &value, const char *name, unsigned &dst,
-             ParseFailure &failure)
-{
-    uint64_t wide = 0;
-    if (!readUint(value, name, wide, failure))
-        return false;
-    if (wide > UINT32_MAX) {
-        return failure.fail(std::string("config.") + name +
-                            " is out of range");
-    }
-    dst = static_cast<unsigned>(wide);
-    return true;
-}
-
-bool
-readBool(const JsonValue &value, const char *name, bool &dst,
-         ParseFailure &failure)
-{
-    if (!value.isBool()) {
-        return failure.fail(std::string("config.") + name +
-                            " must be a boolean");
-    }
-    dst = value.asBool();
-    return true;
-}
-
-bool
-readCacheGeometry(const JsonValue &value, const char *name,
-                  ICacheConfig &dst, ParseFailure &failure)
-{
-    if (!value.isObject()) {
-        return failure.fail(std::string("config.") + name +
-                            " must be an object");
-    }
-    for (const auto &[member, inner] : value.members()) {
-        if (member == "size_bytes") {
-            readUint(inner, "size_bytes", dst.sizeBytes, failure);
-        } else if (member == "line_bytes") {
-            readUnsigned(inner, "line_bytes", dst.lineBytes, failure);
-        } else if (member == "ways") {
-            readUnsigned(inner, "ways", dst.ways, failure);
-        } else {
-            failure.fail(std::string("config.") + name +
-                         ": unknown member '" + member + "'");
-        }
-    }
-    return !failure.failed;
-}
-
-bool
-readPredictor(const JsonValue &value, PredictorConfig &dst,
-              ParseFailure &failure)
-{
-    if (!value.isObject())
-        return failure.fail("config.predictor must be an object");
-    for (const auto &[member, inner] : value.members()) {
-        if (member == "btb_entries") {
-            readUnsigned(inner, "btb_entries", dst.btbEntries, failure);
-        } else if (member == "btb_ways") {
-            readUnsigned(inner, "btb_ways", dst.btbWays, failure);
-        } else if (member == "pht_entries") {
-            readUnsigned(inner, "pht_entries", dst.phtEntries, failure);
-        } else if (member == "pht_counter_bits") {
-            readUnsigned(inner, "pht_counter_bits", dst.phtCounterBits,
-                         failure);
-        } else if (member == "pht_indexing") {
-            if (!inner.isString() ||
-                !indexingFromName(inner.asString(), dst.phtIndexing)) {
-                failure.fail("config.predictor.pht_indexing names no "
-                             "known indexing scheme");
-            }
-        } else if (member == "pht_local_entries") {
-            readUnsigned(inner, "pht_local_entries", dst.phtLocalEntries,
-                         failure);
-        } else if (member == "ras_depth") {
-            readUnsigned(inner, "ras_depth", dst.rasDepth, failure);
-        } else {
-            failure.fail("config.predictor: unknown member '" + member +
-                         "'");
-        }
-    }
-    return !failure.failed;
-}
-
-} // namespace
-
-bool
-configFromJson(const JsonValue &manifest, SimConfig &out, std::string *error)
-{
-    ParseFailure failure;
-    if (!manifest.isObject()) {
-        failure.fail("config manifest is not an object");
-        if (error)
-            *error = failure.message;
-        return false;
-    }
-
-    SimConfig config;
-    for (const auto &[name, value] : manifest.members()) {
-        if (name == "policy") {
-            if (!value.isString() ||
-                !parsePolicy(value.asString(), config.policy)) {
-                failure.fail("config.policy names no known fetch policy");
-            }
-        } else if (name == "issue_width") {
-            readUnsigned(value, "issue_width", config.issueWidth, failure);
-        } else if (name == "max_unresolved") {
-            readUnsigned(value, "max_unresolved", config.maxUnresolved,
-                         failure);
-        } else if (name == "decode_cycles") {
-            readUnsigned(value, "decode_cycles", config.decodeCycles,
-                         failure);
-        } else if (name == "resolve_cycles") {
-            readUnsigned(value, "resolve_cycles", config.resolveCycles,
-                         failure);
-        } else if (name == "icache") {
-            readCacheGeometry(value, "icache", config.icache, failure);
-        } else if (name == "miss_penalty_cycles") {
-            readUnsigned(value, "miss_penalty_cycles",
-                         config.missPenaltyCycles, failure);
-        } else if (name == "memory_channels") {
-            readUnsigned(value, "memory_channels", config.memoryChannels,
-                         failure);
-        } else if (name == "l2_enabled") {
-            readBool(value, "l2_enabled", config.l2Enabled, failure);
-        } else if (name == "l2_cache") {
-            readCacheGeometry(value, "l2_cache", config.l2Cache, failure);
-        } else if (name == "l2_hit_cycles") {
-            readUnsigned(value, "l2_hit_cycles", config.l2HitCycles,
-                         failure);
-        } else if (name == "l2_miss_cycles") {
-            readUnsigned(value, "l2_miss_cycles", config.l2MissCycles,
-                         failure);
-        } else if (name == "victim_entries") {
-            readUnsigned(value, "victim_entries", config.victimEntries,
-                         failure);
-        } else if (name == "victim_hit_cycles") {
-            readUnsigned(value, "victim_hit_cycles",
-                         config.victimHitCycles, failure);
-        } else if (name == "prefetch_kind") {
-            // The serializer folds nextLinePrefetch into the effective
-            // kind, so parsing lands solely on prefetchKind.
-            config.nextLinePrefetch = false;
-            if (!value.isString() ||
-                !prefetchKindFromName(value.asString(),
-                                      config.prefetchKind)) {
-                failure.fail("config.prefetch_kind names no known "
-                             "prefetch mechanism");
-            }
-        } else if (name == "target_table_entries") {
-            readUnsigned(value, "target_table_entries",
-                         config.targetTableEntries, failure);
-        } else if (name == "predictor") {
-            readPredictor(value, config.predictor, failure);
-        } else if (name == "instruction_budget") {
-            readUint(value, "instruction_budget", config.instructionBudget,
-                     failure);
-        } else if (name == "warmup_instructions") {
-            readUint(value, "warmup_instructions",
-                     config.warmupInstructions, failure);
-        } else if (name == "run_seed") {
-            readUint(value, "run_seed", config.runSeed, failure);
-        } else if (name == "check_level") {
-            if (!value.isString() ||
-                !parseCheckLevel(value.asString(), config.checkLevel)) {
-                failure.fail("config.check_level names no known audit "
-                             "level");
-            }
-        } else if (name == "checkpoint_interval") {
-            readUint(value, "checkpoint_interval",
-                     config.checkpointInterval, failure);
-        } else if (name == "sample_interval") {
-            readUint(value, "sample_interval", config.sampleInterval,
-                     failure);
-        } else if (name == "set_heatmap") {
-            readBool(value, "set_heatmap", config.setHeatmap, failure);
-        } else if (name == "adaptive_selector") {
-            if (!value.isString() ||
-                !parseSelectorKind(value.asString(),
-                                   config.adaptiveSelector)) {
-                failure.fail("config.adaptive_selector names no known "
-                             "selector");
-            }
-        } else if (name == "adaptive_interval") {
-            readUint(value, "adaptive_interval", config.adaptiveInterval,
-                     failure);
-        } else if (name == "adaptive_seed") {
-            readUint(value, "adaptive_seed", config.adaptiveSeed, failure);
-        } else if (name == "adaptive_epsilon") {
-            if (!value.isNumber()) {
-                failure.fail("config.adaptive_epsilon must be a number");
-            } else {
-                config.adaptiveEpsilon = value.asDouble();
-            }
-        } else if (name == "description") {
-            // A describe() echo; derived, never parsed.
-        } else {
-            failure.fail("config: unknown member '" + name + "'");
-        }
-    }
-
-    if (failure.failed) {
-        if (error)
-            *error = failure.message;
-        return false;
-    }
-    out = config;
-    return true;
-}
-
 JsonValue
 toJson(const SimResults &results)
 {

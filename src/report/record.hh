@@ -49,26 +49,14 @@ struct RunTiming
      *  summed over the recording tasks, which run beside other
      *  streams' runs rather than in a stage of their own. */
     double snapshotRecordSeconds = 0.0;
-    /** The whole sweep, end to end. */
+    /** The whole sweep, end to end. bench_suite runs its grid,
+     *  classification and adaptive column as one sweep, so there this
+     *  and snapshotRecordSeconds describe that merged sweep. */
     double sweepTotalSeconds = 0.0;
 };
 
 /** Configuration manifest (every knob that defines the machine/run). */
 JsonValue toJson(const SimConfig &config);
-
-/**
- * Parse a configuration manifest produced by toJson(SimConfig) back
- * into a SimConfig. Strict by design — an unknown member or a
- * wrong-typed value fails with @p error naming it — so a service can
- * reject a request it does not fully understand instead of silently
- * simulating something else. Members absent from the manifest keep
- * their defaults, mirroring the serializer's omit-when-disabled
- * convention; the "description" echo is ignored. For any manifest the
- * serializer emitted, toJson(parsed manifest) reproduces it
- * byte-for-byte.
- */
-bool configFromJson(const JsonValue &manifest, SimConfig &out,
-                    std::string *error = nullptr);
 
 /** Raw counters + derived metrics of one run (no manifest). */
 JsonValue toJson(const SimResults &results);

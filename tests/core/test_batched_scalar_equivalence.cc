@@ -46,7 +46,7 @@ runBatched(const ProgramImage &image, const SimConfig &config,
     FetchEngine engine(config, image);
     SimResults results = engine.run(source);
     if (obs)
-        engine.takeObservations(*obs);
+        engine.takeObservations(*obs, results);
     return results;
 }
 
@@ -65,7 +65,7 @@ runScalar(const ProgramImage &image, const SimConfig &config,
     FetchEngine engine(config, image);
     SimResults results = engine.run(erased);
     if (obs)
-        engine.takeObservations(*obs);
+        engine.takeObservations(*obs, results);
     return results;
 }
 

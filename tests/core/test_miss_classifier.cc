@@ -8,6 +8,7 @@
 
 #include "core/miss_classifier.hh"
 #include "core/simulator.hh"
+#include "core/sweep.hh"
 #include "workload/registry.hh"
 
 namespace specfetch {
@@ -124,6 +125,120 @@ TEST(MissClassifier, DeterministicAcrossCalls)
     EXPECT_EQ(a.specPollute, b.specPollute);
     EXPECT_EQ(a.specPrefetch, b.specPrefetch);
     EXPECT_EQ(a.wrongPath, b.wrongPath);
+}
+
+TEST(MissClassifier, ClassifierRunIsTheGridsOptimisticRun)
+{
+    // A suite-shaped sweep: every policy x prefetch of every profile,
+    // the classifier armed on the Optimistic/no-prefetch runs only.
+    SimConfig base;
+    base.instructionBudget = 20'000;
+    std::vector<RunSpec> specs;
+    for (const std::string &name : benchmarkNames()) {
+        for (FetchPolicy policy : allPolicies()) {
+            for (bool prefetch : {false, true}) {
+                RunSpec spec{name, base};
+                spec.config.policy = policy;
+                spec.config.nextLinePrefetch = prefetch;
+                spec.classify =
+                    policy == FetchPolicy::Optimistic && !prefetch;
+                specs.push_back(spec);
+            }
+        }
+    }
+    std::vector<RunObservations> serialObs, parallelObs;
+    std::vector<SimResults> serial = runSweep(specs, 1, nullptr, &serialObs);
+    std::vector<SimResults> parallel =
+        runSweep(specs, 4, nullptr, &parallelObs);
+
+    size_t armed = 0;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(serial[i], parallel[i]) << "spec " << i;
+        if (!specs[i].classify) {
+            EXPECT_FALSE(serialObs[i].classification) << "spec " << i;
+            continue;
+        }
+        ++armed;
+        const std::string &name = specs[i].benchmark;
+        SimResults timed;
+        Classification direct =
+            classifyMisses(*sharedWorkload(name), base, &timed);
+        // The wrapper's run is the grid's run in every field; only
+        // its label is left empty (specbench's digests hash it).
+        EXPECT_TRUE(timed.workload.empty()) << name;
+        timed.workload = name;
+        EXPECT_EQ(timed, serial[i]) << name;
+        EXPECT_EQ(serial[i].workload, name);
+
+        ASSERT_TRUE(serialObs[i].classification) << name;
+        ASSERT_TRUE(parallelObs[i].classification) << name;
+        EXPECT_EQ(*serialObs[i].classification, direct) << name;
+        EXPECT_EQ(*parallelObs[i].classification, direct) << name;
+        EXPECT_EQ(direct.workload, name);
+    }
+    EXPECT_EQ(armed, benchmarkNames().size());
+}
+
+TEST(MissClassifier, ArmedRunsOutsideTheTaxonomyFailLoudly)
+{
+    SimConfig plain;
+    plain.instructionBudget = 5'000;
+    plain.policy = FetchPolicy::Optimistic;
+    auto armed = [&](auto &&edit) {
+        RunSpec spec{"li", plain, true};
+        edit(spec.config);
+        return std::vector<RunSpec>{spec};
+    };
+    auto classifies = [](const std::vector<RunSpec> &specs) {
+        std::vector<RunObservations> obs;
+        runSweep(specs, 1, nullptr, &obs);
+    };
+
+    EXPECT_DEATH(classifies(armed([](SimConfig &c) {
+                     c.policy = FetchPolicy::Resume;
+                 })),
+                 "miss classifier");
+    EXPECT_DEATH(classifies(armed([](SimConfig &c) {
+                     c.nextLinePrefetch = true;
+                 })),
+                 "miss classifier");
+    EXPECT_DEATH(classifies(armed([](SimConfig &c) {
+                     c.prefetchKind = PrefetchKind::Stream;
+                 })),
+                 "miss classifier");
+    EXPECT_DEATH(classifies(armed([](SimConfig &c) {
+                     c.warmupInstructions = 1'000;
+                 })),
+                 "miss classifier");
+    EXPECT_DEATH(classifies(armed([](SimConfig &c) {
+                     c.adaptiveSelector = SelectorKind::Bandit;
+                 })),
+                 "miss classifier");
+
+    // A sweep that cannot hand the taxonomy back refuses to run one.
+    std::vector<RunSpec> valid = armed([](SimConfig &) {});
+    EXPECT_DEATH(runSweep(valid, 1), "returns no observations");
+    EXPECT_DEATH(runSweepGuarded(valid, SweepGuard{}, 1),
+                 "returns no observations");
+
+    // The single-run entry point applies the same rule.
+    SimConfig oracle = plain;
+    oracle.policy = FetchPolicy::Oracle;
+    EXPECT_DEATH(
+        {
+            RunObservations obs;
+            runSimulation(*sharedWorkload("li"), oracle, obs, true);
+        },
+        "miss classifier");
+
+    // The valid arm classifies; a disarmed run carries no taxonomy.
+    std::vector<RunObservations> obs;
+    runSweep(valid, 1, nullptr, &obs);
+    ASSERT_TRUE(obs[0].classification);
+    EXPECT_EQ(obs[0].classification->instructions, 5'000u);
+    valid[0].classify = false;
+    runSweep(valid, 1, nullptr, &obs);
+    EXPECT_FALSE(obs[0].classification);
 }
 
 } // namespace

@@ -137,6 +137,61 @@ TEST(Sweep, LiveSnapshotsStayWithinTheWorkerBound)
     }
 }
 
+TEST(Sweep, SuiteShapedSweepRecordsEachStreamOnceWithinTheBound)
+{
+    // bench_suite's one plan in miniature: the policy x prefetch grid
+    // (classifier armed on Optimistic/no-prefetch), then sampled
+    // static runs and two selectors per profile at a longer budget,
+    // all on the profile's one stream.
+    SimConfig grid;
+    grid.instructionBudget = 4'000;
+    SimConfig column = grid;
+    column.instructionBudget = 8'000;
+    std::vector<RunSpec> specs;
+    for (const std::string &name : benchmarkNames()) {
+        for (FetchPolicy policy : allPolicies()) {
+            for (bool prefetch : {false, true}) {
+                RunSpec spec{name, grid};
+                spec.config.policy = policy;
+                spec.config.nextLinePrefetch = prefetch;
+                spec.classify =
+                    policy == FetchPolicy::Optimistic && !prefetch;
+                specs.push_back(spec);
+            }
+        }
+    }
+    for (const std::string &name : benchmarkNames()) {
+        for (FetchPolicy policy : allPolicies()) {
+            RunSpec spec{name, column};
+            spec.config.policy = policy;
+            spec.config.sampleInterval = 2'000;
+            specs.push_back(spec);
+        }
+        for (SelectorKind kind :
+             {SelectorKind::Threshold, SelectorKind::Bandit}) {
+            RunSpec spec{name, column};
+            spec.config.policy = FetchPolicy::Resume;
+            spec.config.adaptiveSelector = kind;
+            spec.config.adaptiveInterval = 2'000;
+            specs.push_back(spec);
+        }
+    }
+    const size_t streams = benchmarkNames().size();
+    for (unsigned workers : {1u, 2u, 4u}) {
+        SweepTiming timing;
+        std::vector<RunObservations> obs;
+        runSweep(specs, workers, &timing, &obs);
+        EXPECT_EQ(timing.snapshotsRecorded, streams);
+        EXPECT_GE(timing.peakLiveSnapshots, 1u);
+        EXPECT_LE(timing.peakLiveSnapshots, workers + 2)
+            << "workers " << workers;
+        size_t classified = 0;
+        for (const RunObservations &o : obs)
+            classified += o.classification.has_value();
+        EXPECT_EQ(classified, streams);
+    }
+}
+
 TEST(Sweep, ResultsComeBackInSubmissionOrder)
 {
     std::vector<RunSpec> specs = smallGrid();
