@@ -150,20 +150,6 @@ class BenchMain
             return reject("--json and --csv name the same path (" +
                           opts.getString("json") +
                           "); the sinks would interleave");
-        if (!opts.getString("json").empty() &&
-            !openJson(opts.getString("json"))) {
-            parseFailed = true;
-            return false;
-        }
-        if (!opts.getString("csv").empty()) {
-            csv = std::make_unique<CsvReportWriter>(opts.getString("csv"));
-            if (!csv->ok())
-                return reject("cannot write " + csv->path());
-        }
-        if (opts.getFlag("list-stats")) {
-            listStats();
-            return false;    // exit 0, like --help
-        }
         sampleInterval = opts.getCount("sample-interval");
         heatmap = opts.getFlag("heatmap");
         if (opts.wasSet("adaptive") &&
@@ -192,6 +178,23 @@ class BenchMain
         progress = opts.getFlag("progress");
         progressFile = opts.getString("progress-file");
         benchName = name;
+        if (opts.getFlag("list-stats")) {
+            listStats();
+            return false;    // exit 0, like --help
+        }
+        // Every option is valid: only now open the sinks, which
+        // truncate their files, so a rejected command leaves earlier
+        // results intact.
+        if (!opts.getString("json").empty() &&
+            !openJson(opts.getString("json"))) {
+            parseFailed = true;
+            return false;
+        }
+        if (!opts.getString("csv").empty()) {
+            csv = std::make_unique<CsvReportWriter>(opts.getString("csv"));
+            if (!csv->ok())
+                return reject("cannot write " + csv->path());
+        }
         traceOut = opts.getString("trace-out");
         if (!traceOut.empty()) {
             TraceEventSink::global().open(traceOut);

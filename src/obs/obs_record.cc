@@ -1,6 +1,8 @@
 #include "obs/obs_record.hh"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "report/record.hh"
 #include "stats/histogram.hh"
@@ -57,61 +59,91 @@ distributionJson(const std::vector<uint64_t> &values)
     return out;
 }
 
+/** Room for a typical epoch row, so most rows never regrow. */
+constexpr size_t kEpochRowBytes = 1024;
+
+/** Append @p key (pre-encoded `,"name":` text) and an integer. */
+void
+putUint(std::string &row, const char *key, uint64_t value)
+{
+    row += key;
+    JsonValue::appendUint(row, value);
+}
+
+/** Append @p key (pre-encoded `,"name":` text) and a double. */
+void
+putDouble(std::string &row, const char *key, double value)
+{
+    row += key;
+    JsonValue::appendDouble(row, value);
+}
+
+/** `"name":` per kind of allPenaltyKinds(), escaped once. */
+const std::vector<std::string> &
+penaltyKeys()
+{
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> out;
+        for (PenaltyKind kind : allPenaltyKinds()) {
+            std::string key = JsonValue::escape(toString(kind));
+            key += ':';
+            out.push_back(std::move(key));
+        }
+        return out;
+    }();
+    return keys;
+}
+
 } // namespace
 
 JsonValue
 toJson(const EpochRecord &epoch)
 {
-    const size_t kinds = allPenaltyKinds().size();
-    JsonValue penalty = JsonValue::object();
-    penalty.reserve(kinds);
-    for (PenaltyKind kind : allPenaltyKinds()) {
-        penalty.set(toString(kind),
-                    JsonValue::integer(
-                        epoch.penaltySlots[static_cast<size_t>(kind)]));
+    // Written as text in one pass: epochs are the bulk of an export
+    // (one per sample interval per run), and building and freeing a
+    // ~35-node DOM per epoch costs more than printing it.
+    std::string row;
+    row.reserve(kEpochRowBytes);
+    putUint(row, "{\"epoch\":", epoch.epoch);
+    putUint(row, ",\"first_instruction\":", epoch.firstInstruction);
+    putUint(row, ",\"last_instruction\":", epoch.lastInstruction);
+    putUint(row, ",\"slots\":", epoch.slots);
+    const std::vector<PenaltyKind> &kinds = allPenaltyKinds();
+    const std::vector<std::string> &keys = penaltyKeys();
+    row += ",\"penalty_slots\":{";
+    for (size_t i = 0; i < kinds.size(); ++i) {
+        row += keys[i];
+        JsonValue::appendUint(
+            row, epoch.penaltySlots[static_cast<size_t>(kinds[i])]);
+        row += i + 1 < kinds.size() ? "," : "}";
     }
-
-    JsonValue components = JsonValue::object();
-    components.reserve(kinds);
-    for (PenaltyKind kind : allPenaltyKinds())
-        components.set(toString(kind), JsonValue::number(epoch.ispiOf(kind)));
-
-    JsonValue derived = JsonValue::object();
-    derived.reserve(5); // the members set below
-    derived.set("ispi", JsonValue::number(epoch.ispi()))
-        .set("ispi_components", std::move(components))
-        .set("miss_rate_percent", JsonValue::number(epoch.missRatePercent()))
-        .set("cond_accuracy", JsonValue::number(epoch.condAccuracy()))
-        .set("bus_wait_fraction",
-             JsonValue::number(epoch.busWaitFraction()));
-
-    JsonValue out = JsonValue::object();
-    out.reserve(21); // the members set below
-    out.set("epoch", JsonValue::integer(epoch.epoch))
-        .set("first_instruction", JsonValue::integer(epoch.firstInstruction))
-        .set("last_instruction", JsonValue::integer(epoch.lastInstruction))
-        .set("slots", JsonValue::integer(epoch.slots))
-        .set("penalty_slots", std::move(penalty))
-        .set("control_insts", JsonValue::integer(epoch.controlInsts))
-        .set("cond_branches", JsonValue::integer(epoch.condBranches))
-        .set("misfetches", JsonValue::integer(epoch.misfetches))
-        .set("dir_mispredicts", JsonValue::integer(epoch.dirMispredicts))
-        .set("target_mispredicts",
-             JsonValue::integer(epoch.targetMispredicts))
-        .set("demand_accesses", JsonValue::integer(epoch.demandAccesses))
-        .set("demand_misses", JsonValue::integer(epoch.demandMisses))
-        .set("demand_fills", JsonValue::integer(epoch.demandFills))
-        .set("buffer_hits", JsonValue::integer(epoch.bufferHits))
-        .set("wrong_accesses", JsonValue::integer(epoch.wrongAccesses))
-        .set("wrong_misses", JsonValue::integer(epoch.wrongMisses))
-        .set("wrong_fills", JsonValue::integer(epoch.wrongFills))
-        .set("prefetches_issued",
-             JsonValue::integer(epoch.prefetchesIssued))
-        .set("memory_transactions",
-             JsonValue::integer(epoch.memoryTransactions()))
-        .set("partial", JsonValue::boolean(epoch.partial))
-        .set("derived", std::move(derived));
-    return out;
+    putUint(row, ",\"control_insts\":", epoch.controlInsts);
+    putUint(row, ",\"cond_branches\":", epoch.condBranches);
+    putUint(row, ",\"misfetches\":", epoch.misfetches);
+    putUint(row, ",\"dir_mispredicts\":", epoch.dirMispredicts);
+    putUint(row, ",\"target_mispredicts\":", epoch.targetMispredicts);
+    putUint(row, ",\"demand_accesses\":", epoch.demandAccesses);
+    putUint(row, ",\"demand_misses\":", epoch.demandMisses);
+    putUint(row, ",\"demand_fills\":", epoch.demandFills);
+    putUint(row, ",\"buffer_hits\":", epoch.bufferHits);
+    putUint(row, ",\"wrong_accesses\":", epoch.wrongAccesses);
+    putUint(row, ",\"wrong_misses\":", epoch.wrongMisses);
+    putUint(row, ",\"wrong_fills\":", epoch.wrongFills);
+    putUint(row, ",\"prefetches_issued\":", epoch.prefetchesIssued);
+    putUint(row, ",\"memory_transactions\":", epoch.memoryTransactions());
+    row += epoch.partial ? ",\"partial\":true" : ",\"partial\":false";
+    putDouble(row, ",\"derived\":{\"ispi\":", epoch.ispi());
+    row += ",\"ispi_components\":{";
+    for (size_t i = 0; i < kinds.size(); ++i) {
+        row += keys[i];
+        JsonValue::appendDouble(row, epoch.ispiOf(kinds[i]));
+        row += i + 1 < kinds.size() ? "," : "}";
+    }
+    putDouble(row, ",\"miss_rate_percent\":", epoch.missRatePercent());
+    putDouble(row, ",\"cond_accuracy\":", epoch.condAccuracy());
+    putDouble(row, ",\"bus_wait_fraction\":", epoch.busWaitFraction());
+    row += "}}";
+    return JsonValue::raw(std::move(row));
 }
 
 JsonValue

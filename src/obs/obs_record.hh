@@ -28,7 +28,10 @@
 
 namespace specfetch {
 
-/** One epoch as a JSON object (deltas + per-epoch derived metrics). */
+/**
+ * One epoch as a JSON object (deltas + per-epoch derived metrics),
+ * encoded straight to text and returned as one Raw node.
+ */
 JsonValue toJson(const EpochRecord &epoch);
 
 /** Per-set occupancy/conflict arrays + distribution summary. */

@@ -59,6 +59,14 @@ JsonValue::array()
     return v;
 }
 
+JsonValue
+JsonValue::raw(std::string text)
+{
+    JsonValue v;
+    v.payload = RawText{std::move(text)};
+    return v;
+}
+
 bool
 JsonValue::asBool() const
 {
@@ -221,9 +229,18 @@ appendEscaped(std::string &out, const std::string &text)
     out.push_back('"');
 }
 
+} // namespace
+
+void
+JsonValue::appendUint(std::string &out, uint64_t value)
+{
+    char buf[20]; // holds any uint64_t
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 /** Shortest exact decimal form; always round-trips to the same bits. */
 void
-appendDouble(std::string &out, double value)
+JsonValue::appendDouble(std::string &out, double value)
 {
     // Bare "inf"/"nan" are not JSON; export as null-adjacent zero so
     // consumers never see invalid documents.
@@ -242,8 +259,6 @@ appendDouble(std::string &out, double value)
         out += ".0";
     }
 }
-
-} // namespace
 
 std::string
 JsonValue::escape(const std::string &text)
@@ -264,11 +279,9 @@ JsonValue::dumpTo(std::string &out) const
       case Kind::Bool:
         out += asBool() ? "true" : "false";
         break;
-      case Kind::Uint: {
-        char buf[20]; // holds any uint64_t
-        out.append(buf, std::to_chars(buf, buf + sizeof(buf), asUint()).ptr);
+      case Kind::Uint:
+        appendUint(out, asUint());
         break;
-      }
       case Kind::Double:
         appendDouble(out, asDouble());
         break;
@@ -301,6 +314,9 @@ JsonValue::dumpTo(std::string &out) const
         out.push_back(']');
         break;
       }
+      case Kind::Raw:
+        out += std::get_if<RawText>(&payload)->text;
+        break;
     }
 }
 
@@ -315,9 +331,26 @@ JsonValue::dump() const
 bool
 operator==(const JsonValue &a, const JsonValue &b)
 {
+    const bool raw_a = a.kind() == JsonValue::Kind::Raw;
+    const bool raw_b = b.kind() == JsonValue::Kind::Raw;
     // Alternatives compare only within one kind, so integer(1) !=
     // number(1.0); doubles compare with ==, as they always have.
-    return a.payload == b.payload;
+    if (!raw_a && !raw_b)
+        return a.payload == b.payload;
+    if (raw_a && raw_b && a.payload == b.payload)
+        return true;
+    // A Raw side compares as the value its text encodes.
+    auto decoded = [](const JsonValue &raw,
+                      JsonValue &out) -> const JsonValue & {
+        const std::string &text =
+            std::get_if<JsonValue::RawText>(&raw.payload)->text;
+        panic_if(!JsonValue::parse(text, out),
+                 "JsonValue: raw text is not JSON: %s", text.c_str());
+        return out;
+    };
+    JsonValue parsed_a, parsed_b;
+    return (raw_a ? decoded(a, parsed_a) : a).payload ==
+           (raw_b ? decoded(b, parsed_b) : b).payload;
 }
 
 namespace {

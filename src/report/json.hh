@@ -10,7 +10,10 @@
  *    compared exactly: object members keep insertion order, integers
  *    print as integers, and doubles use shortest round-trip form;
  *  - unsigned 64-bit counters must survive a round trip without
- *    passing through double (budgets can push slot clocks past 2^53).
+ *    passing through double (budgets can push slot clocks past 2^53);
+ *  - a hot encoder may write a subtree's text itself and hand it over
+ *    as one pre-encoded node (Kind::Raw), using the same number
+ *    formatters dump() uses, so its bytes cannot drift.
  */
 
 #ifndef SPECFETCH_REPORT_JSON_HH_
@@ -28,6 +31,13 @@ namespace specfetch {
  * One JSON value; objects preserve member insertion order. The node is
  * a single tagged payload (40 bytes with libstdc++), so a large record
  * tree costs one small node per value.
+ *
+ * A Raw node holds pre-encoded JSON text that dump() appends verbatim.
+ * Only in-tree encoders create one, and its text must be canonical:
+ * exactly what dump() of its parse would print. parse() never yields
+ * Raw; members(), find() and size() treat it as a scalar, and equality
+ * compares the value its text encodes, so a raw row equals its parsed
+ * golden.
  */
 class JsonValue
 {
@@ -44,6 +54,7 @@ class JsonValue
         String,
         Object,
         Array,
+        Raw,     ///< pre-encoded canonical JSON text
     };
 
     JsonValue() = default;
@@ -56,6 +67,8 @@ class JsonValue
     static JsonValue string(std::string value);
     static JsonValue object();
     static JsonValue array();
+    /** Pre-encoded JSON; @p text must be canonical (see above). */
+    static JsonValue raw(std::string text);
     /** @} */
 
     Kind kind() const { return static_cast<Kind>(payload.index()); }
@@ -130,7 +143,21 @@ class JsonValue
     /** Quote + escape a string per RFC 8259 (used by dump()). */
     static std::string escape(const std::string &text);
 
-    /** Deep structural equality; numbers compare exactly by kind. */
+    /** @name dump()'s number formatters, for encoders of Raw text @{ */
+    /** Append @p value as a decimal integer. */
+    static void appendUint(std::string &out, uint64_t value);
+    /**
+     * Append @p value in its shortest round-trip form, with ".0" on
+     * integral values so they re-parse as Double; non-finite values
+     * print as 0.0.
+     */
+    static void appendDouble(std::string &out, double value);
+    /** @} */
+
+    /**
+     * Deep structural equality; numbers compare exactly by kind. A Raw
+     * node compares as the value its text encodes.
+     */
     friend bool operator==(const JsonValue &a, const JsonValue &b);
     friend bool operator!=(const JsonValue &a, const JsonValue &b)
     {
@@ -138,9 +165,16 @@ class JsonValue
     }
 
   private:
+    /** Raw's payload; a distinct type so Raw is not a String. */
+    struct RawText
+    {
+        std::string text;
+        bool operator==(const RawText &) const = default;
+    };
+
     /** Alternatives in Kind order: kind() is the index. */
     std::variant<std::monostate, bool, uint64_t, double, std::string,
-                 Members, Elements>
+                 Members, Elements, RawText>
         payload;
 };
 

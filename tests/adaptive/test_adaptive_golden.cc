@@ -28,6 +28,7 @@
 #include "report/record.hh"
 #include "report/report.hh"
 #include "workload/registry.hh"
+#include "golden_lines.hh"
 
 using namespace specfetch;
 
@@ -119,7 +120,12 @@ TEST(GoldenAdaptive, MatchesCheckedInRows)
         << error << " — regenerate with SPECFETCH_REGEN_GOLDEN=1 "
         << "(see file header)";
     ASSERT_EQ(golden.size(), records.size());
+    std::vector<std::string> lines = readGoldenLines(goldenPath());
+    ASSERT_EQ(lines.size(), records.size());
     for (size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i].dump(), lines[i])
+            << "adaptive golden row " << i << " is not byte-identical ("
+            << toString(goldenSelectors()[i / 3]) << ")";
         EXPECT_EQ(records[i], golden[i])
             << "adaptive golden row " << i << " diverged ("
             << toString(goldenSelectors()[i / 3]) << ")";

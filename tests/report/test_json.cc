@@ -2,8 +2,8 @@
  * @file
  * JsonValue serializer/parser tests: construction, escaping, exact
  * integer round-trips, structural equality, the container views of
- * every kind, in-place serialization, and malformed-input rejection
- * (including the nesting bound).
+ * every kind, in-place serialization, malformed-input rejection
+ * (including the nesting bound), and the pre-encoded Raw kind.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "report/json.hh"
@@ -278,4 +279,168 @@ TEST(Json, CopyOfNestedDocumentIsDeepAndEqual)
     copy.set("name", JsonValue::string("changed"));
     EXPECT_NE(copy, doc);
     EXPECT_EQ(doc.find("name")->asString(), "run");
+}
+
+// The node stays one small tagged payload with Raw added (libstdc++'s
+// 32-byte std::string sets the size; other libraries differ).
+#if defined(__GLIBCXX__)
+static_assert(sizeof(JsonValue) == 40, "JsonValue grew");
+#endif
+
+namespace {
+
+/** A canonical object row and its DOM, as an epoch encoder makes. */
+constexpr const char *kRawRow =
+    "{\"n\":18446744073709551615,\"x\":0.5,\"ok\":true,"
+    "\"parts\":{\"a\":1,\"b\":2.0},\"tags\":[\"t\",null]}";
+
+JsonValue
+rawRowDom()
+{
+    JsonValue dom = JsonValue::object();
+    dom.set("n", JsonValue::integer(UINT64_MAX))
+        .set("x", JsonValue::number(0.5))
+        .set("ok", JsonValue::boolean(true))
+        .set("parts", JsonValue::object()
+                          .set("a", JsonValue::integer(1))
+                          .set("b", JsonValue::number(2.0)))
+        .set("tags", JsonValue::array()
+                         .push(JsonValue::string("t"))
+                         .push(JsonValue::null()));
+    return dom;
+}
+
+} // namespace
+
+TEST(JsonRaw, DumpIsVerbatimAndKindIsRaw)
+{
+    JsonValue raw = JsonValue::raw(kRawRow);
+    EXPECT_EQ(raw.kind(), JsonValue::Kind::Raw);
+    EXPECT_FALSE(raw.isObject());
+    EXPECT_FALSE(raw.isString());
+    EXPECT_EQ(raw.dump(), kRawRow);
+
+    // Inside a container it is appended in place like any member.
+    JsonValue doc = JsonValue::array().push(JsonValue::integer(1)).push(raw);
+    EXPECT_EQ(doc.dump(), std::string("[1,") + kRawRow + "]");
+    std::string out = "prefix:";
+    raw.dumpTo(out);
+    EXPECT_EQ(out, std::string("prefix:") + kRawRow);
+}
+
+TEST(JsonRaw, EqualsTheParsedDomOfItsText)
+{
+    JsonValue raw = JsonValue::raw(kRawRow);
+    JsonValue parsed;
+    ASSERT_TRUE(JsonValue::parse(kRawRow, parsed));
+    EXPECT_EQ(parsed, rawRowDom());
+    EXPECT_EQ(raw, parsed);
+    EXPECT_EQ(parsed, raw);
+    EXPECT_EQ(raw, rawRowDom());
+
+    // A different value, however close, differs: a changed member,
+    // a changed numeric kind, or a missing member.
+    JsonValue changed = rawRowDom();
+    changed.set("x", JsonValue::number(0.25));
+    EXPECT_NE(raw, changed);
+    EXPECT_NE(changed, raw);
+    JsonValue rekinded = rawRowDom();
+    rekinded.set("parts", JsonValue::object()
+                              .set("a", JsonValue::integer(1))
+                              .set("b", JsonValue::integer(2)));
+    EXPECT_NE(raw, rekinded);
+    JsonValue shorter = rawRowDom();
+    shorter.remove("tags");
+    EXPECT_NE(raw, shorter);
+    EXPECT_NE(JsonValue::raw("1"), JsonValue::number(1.0));
+    EXPECT_EQ(JsonValue::raw("1"), JsonValue::integer(1));
+
+    // Nested raw nodes compare through their containers too.
+    JsonValue holder = JsonValue::array().push(raw);
+    JsonValue golden = JsonValue::array().push(rawRowDom());
+    EXPECT_EQ(holder, golden);
+    EXPECT_NE(holder, JsonValue::array().push(changed));
+}
+
+TEST(JsonRaw, RawsCompareByValue)
+{
+    EXPECT_EQ(JsonValue::raw(kRawRow), JsonValue::raw(kRawRow));
+    EXPECT_EQ(JsonValue::raw("[1,2]"), JsonValue::raw("[1, 2]"));
+    EXPECT_NE(JsonValue::raw("[1,2]"), JsonValue::raw("[1,3]"));
+    EXPECT_NE(JsonValue::raw("{\"a\":1}"), JsonValue::raw("{\"a\":1.0}"));
+}
+
+TEST(JsonRaw, ContainerViewsTreatItAsAScalar)
+{
+    JsonValue raw = JsonValue::raw(kRawRow);
+    EXPECT_TRUE(raw.members().empty());
+    EXPECT_EQ(raw.find("n"), nullptr);
+    EXPECT_EQ(raw.size(), 0u);
+    EXPECT_TRUE(raw.elements().empty());
+    EXPECT_FALSE(raw.remove("n"));
+    raw.reserve(8); // no-op, as on every scalar
+    EXPECT_EQ(raw.dump(), kRawRow);
+
+    JsonValue array = JsonValue::raw("[1,2,3]");
+    EXPECT_EQ(array.size(), 0u);
+    EXPECT_TRUE(array.elements().empty());
+}
+
+TEST(JsonRaw, ParseNeverYieldsRaw)
+{
+    for (const char *text :
+         {kRawRow, "[1,{\"a\":[2.5,\"s\"]}]", "7", "\"s\"", "null"}) {
+        JsonValue parsed;
+        ASSERT_TRUE(JsonValue::parse(text, parsed)) << text;
+        std::vector<const JsonValue *> pending{&parsed};
+        while (!pending.empty()) {
+            const JsonValue *node = pending.back();
+            pending.pop_back();
+            EXPECT_NE(node->kind(), JsonValue::Kind::Raw) << text;
+            for (const auto &member : node->members())
+                pending.push_back(&member.second);
+            for (const JsonValue &element : node->elements())
+                pending.push_back(&element);
+        }
+    }
+}
+
+TEST(JsonRaw, CopyAndMoveKeepTheText)
+{
+    JsonValue raw = JsonValue::raw(kRawRow);
+    JsonValue copy = raw;
+    EXPECT_EQ(copy.kind(), JsonValue::Kind::Raw);
+    EXPECT_EQ(copy.dump(), kRawRow);
+    EXPECT_EQ(raw.dump(), kRawRow);
+
+    JsonValue moved = std::move(copy);
+    EXPECT_EQ(moved.kind(), JsonValue::Kind::Raw);
+    EXPECT_EQ(moved.dump(), kRawRow);
+
+    JsonValue assigned = JsonValue::integer(3);
+    assigned = raw;
+    EXPECT_EQ(assigned.dump(), kRawRow);
+    assigned = JsonValue::integer(3);
+    EXPECT_EQ(assigned.dump(), "3");
+    EXPECT_EQ(raw.dump(), kRawRow);
+}
+
+TEST(JsonRaw, NumberFormattersMatchDump)
+{
+    for (uint64_t value : {uint64_t{0}, uint64_t{7}, uint64_t{1} << 53,
+                           UINT64_MAX - 1, UINT64_MAX}) {
+        // Appends after what is already there, like dumpTo().
+        std::string out = "x", want = "x";
+        JsonValue::appendUint(out, value);
+        JsonValue::integer(value).dumpTo(want);
+        EXPECT_EQ(out, want);
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double value : {0.0, -0.0, 1.0, 0.5, 0.1, 1e20, 3.6900000000000004,
+                         1e-300, inf, std::nan("")}) {
+        std::string out = "x", want = "x";
+        JsonValue::appendDouble(out, value);
+        JsonValue::number(value).dumpTo(want);
+        EXPECT_EQ(out, want);
+    }
 }
